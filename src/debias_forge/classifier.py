@@ -6,10 +6,17 @@ Feature space layout for dimension D over vocabulary V (requires D > 2V):
     [V, 2V)     bag of tokens in segment_b (the bias token, when present,
                 therefore owns a dedicated dimension)
     [2V, D)     hashed ordered (a-token, b-token) co-occurrence counts
+
+Tokens must lie in [0, V); matrix() raises DataError otherwise. featurize()
+is the per-example reference; matrix() builds the same CSR matrix with numpy
+in blocks of _BLOCK_ROWS rows, which bounds its scratch memory. It computes
+the pair hash in wrapping uint32 arithmetic, which equals the formula in
+_pair_dim mod 2**32 for any vocabulary.
 """
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,6 +24,10 @@ import scipy.sparse as sp
 from .errors import ConfigError, DataError, NumericError, SchemaError
 
 LOG_EPS = 1e-12
+# rows featurized per numpy block in Featurizer.matrix
+_BLOCK_ROWS = 2048
+_HASH_MUL_A = np.uint32(1_000_003)
+_HASH_MUL = np.uint32(2_654_435_761)
 
 
 # ---------------------------------------------------------------------------
@@ -55,17 +66,54 @@ class Featurizer:
 
     def matrix(self, examples) -> sp.csr_matrix:
         """Stack featurize() over examples into an (n, dim) CSR matrix."""
-        data, indices, indptr = [], [], [0]
-        for ex in examples:
-            feats = self.featurize(ex)
-            for d in sorted(feats):
-                indices.append(d)
-                data.append(feats[d])
-            indptr.append(len(indices))
+        data, indices = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
+        indptr = [np.zeros(1, dtype=np.int64)]
+        for start in range(0, len(examples), _BLOCK_ROWS):
+            d, idx, ptr = self._block(examples[start:start + _BLOCK_ROWS], start)
+            data.append(d)
+            indices.append(idx)
+            indptr.append(ptr + indptr[-1][-1])
         return sp.csr_matrix(
-            (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+            (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)),
             shape=(len(examples), self.dim),
         )
+
+    def _block(self, examples, first_row: int):
+        """(data, indices, indptr[1:]) of featurize() over a block of rows:
+        per row, sorted feature dims with summed counts."""
+        n, V, dim = len(examples), self.vocab_size, self.dim
+        len_a = np.fromiter((len(ex.segment_a) for ex in examples), np.int64, n)
+        len_b = np.fromiter((len(ex.segment_b) for ex in examples), np.int64, n)
+        tok_a = np.fromiter(chain.from_iterable(ex.segment_a for ex in examples),
+                            np.int64, int(len_a.sum()))
+        tok_b = np.fromiter(chain.from_iterable(ex.segment_b for ex in examples),
+                            np.int64, int(len_b.sum()))
+        toks = np.concatenate([tok_a, tok_b])
+        if toks.size and (toks.min() < 0 or toks.max() >= V):
+            row, tok = next((i, t) for i, ex in enumerate(examples)
+                            for t in chain(ex.segment_a, ex.segment_b) if not 0 <= t < V)
+            raise DataError(f"example {first_row + row}: token {tok} outside [0, {V})")
+
+        rows = np.arange(n, dtype=np.int64)
+        # pairs in row-major (a, b) order: a-token i of a row meets each b-token
+        n_pairs = len_a * len_b
+        pair_row = np.repeat(rows, n_pairs)
+        pair_a = np.repeat(tok_a, np.repeat(len_b, len_a))
+        pair_start = np.cumsum(n_pairs) - n_pairs
+        k = np.arange(pair_row.size, dtype=np.int64) - pair_start[pair_row]
+        b_start = np.cumsum(len_b) - len_b
+        pair_b = tok_b[b_start[pair_row] + k % len_b[pair_row]]
+        h = (pair_a.astype(np.uint32) * _HASH_MUL_A + pair_b.astype(np.uint32)) * _HASH_MUL
+        pair_dim = 2 * V + (h % np.uint32(dim - 2 * V)).astype(np.int64)
+
+        keys = np.concatenate([
+            np.repeat(rows, len_a) * dim + tok_a,
+            np.repeat(rows, len_b) * dim + V + tok_b,
+            pair_row * dim + pair_dim,
+        ])
+        uniq, counts = np.unique(keys, return_counts=True)
+        ptr = np.cumsum(np.bincount(uniq // dim, minlength=n))
+        return counts.astype(np.float64), uniq % dim, ptr
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +282,7 @@ class OptState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    scratch: dict = field(default_factory=dict, repr=False)  # adam work buffers
 
     def __post_init__(self):
         if self.mode not in ("sgd", "adam"):
@@ -258,11 +307,28 @@ def opt_step(params: ModelParams, grads: Gradients, state: OptState):
             if name not in state.m:
                 state.m[name] = np.zeros_like(g)
                 state.v[name] = np.zeros_like(g)
-            state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-            state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-            mhat = state.m[name] / (1 - state.beta1 ** t)
-            vhat = state.v[name] / (1 - state.beta2 ** t)
-            parrs[name] -= lr * mhat / (np.sqrt(vhat) + state.eps)
+                state.scratch[name] = (np.empty_like(g), np.empty_like(g))
+            m, v = state.m[name], state.v[name]
+            s1, s2 = state.scratch[name]
+            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+            # p -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps), computed in
+            # place in that order: bit-identical results, and no parameter-sized
+            # temporaries, which page-fault on every step whenever malloc
+            # serves them with mmap
+            m *= state.beta1
+            np.multiply(g, 1 - state.beta1, out=s1)
+            m += s1
+            v *= state.beta2
+            np.multiply(g, 1 - state.beta2, out=s1)
+            s1 *= g
+            v += s1
+            np.divide(m, 1 - state.beta1 ** t, out=s1)
+            s1 *= lr
+            np.divide(v, 1 - state.beta2 ** t, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += state.eps
+            s1 /= s2
+            parrs[name] -= s1
     return params, state
 
 
@@ -313,7 +379,7 @@ def load_checkpoint(path) -> Model:
         raise DataError(f"{path}: parse error at offset {e.pos}: {e.msg}") from e
     try:
         meta = obj["meta"]
-        D, H, K = meta["D"], meta["H"], meta["K"]
+        D, H, K, vocab_size = meta["D"], meta["H"], meta["K"], meta["vocab_size"]
         params = ModelParams(
             W1=np.array(obj["W1"], dtype=np.float64),
             b1=np.array(obj["b1"], dtype=np.float64),
@@ -328,7 +394,7 @@ def load_checkpoint(path) -> Model:
             f"{path}: shape mismatch: meta says D={D} H={H} K={K}, arrays are "
             f"{params.W1.shape}/{params.b1.shape}/{params.W2.shape}/{params.b2.shape}"
         )
-    feat = Featurizer(vocab_size=meta["vocab_size"], dim=D)
+    feat = Featurizer(vocab_size=vocab_size, dim=D)
     extra = {k: v for k, v in meta.items()
              if k not in ("D", "H", "K", "step", "config_digest", "vocab_size")}
     return Model(params=params, featurizer=feat, num_labels=K, meta=extra)

@@ -262,6 +262,7 @@ def load_dataset(path) -> Dataset:
     for key in ("num_labels", "vocab_size"):
         if key not in header:
             raise DataError(f"{path}: header missing '{key}'")
+    vocab = header["vocab_size"]
     examples = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -270,10 +271,8 @@ def load_dataset(path) -> Dataset:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}:{lineno}: bad example line: {e}") from e
-        if rec.get("bias_tag") not in BIAS_TAGS:
-            raise DataError(f"{path}:{lineno}: unknown bias_tag {rec.get('bias_tag')!r}")
-        examples.append(
-            Example(
+        try:
+            ex = Example(
                 id=rec["id"],
                 segment_a=tuple(rec["segment_a"]),
                 segment_b=tuple(rec["segment_b"]),
@@ -281,5 +280,16 @@ def load_dataset(path) -> Dataset:
                 bias_tag=rec["bias_tag"],
                 bias_token=rec["bias_token"],
             )
-        )
+        except (KeyError, TypeError) as e:
+            raise DataError(f"{path}:{lineno}: malformed example: {e!r}") from e
+        if ex.bias_tag not in BIAS_TAGS:
+            raise DataError(f"{path}:{lineno}: unknown bias_tag {ex.bias_tag!r}")
+        if type(ex.label) is not int or not 0 <= ex.label < header["num_labels"]:
+            raise DataError(f"{path}:{lineno}: label {ex.label!r} outside "
+                            f"[0, {header['num_labels']})")
+        for seg in (ex.segment_a, ex.segment_b):
+            if seg and not (set(map(type, seg)) == {int} and 0 <= min(seg) and max(seg) < vocab):
+                raise DataError(f"{path}:{lineno}: tokens must be integers in "
+                                f"[0, {vocab}), got {list(seg)}")
+        examples.append(ex)
     return Dataset(examples, header["num_labels"], header["vocab_size"], header.get("provenance", {}))

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from debias_forge import classifier
 from debias_forge.classifier import (
     Featurizer, Model, ModelParams, OptState, forward, grad_check, init_params,
     load_checkpoint, loss_and_grad, opt_step, save_checkpoint,
@@ -43,15 +45,50 @@ def test_featurizer_segment_layout():
     assert pair_dims and all(2 * V <= d < D for d in pair_dims)
 
 
-def test_featurizer_deterministic_and_matrix_agrees():
+def _stacked_featurize(f, examples):
+    """The per-example reference: featurize() rows stacked into CSR."""
+    data, indices, indptr = [], [], [0]
+    for ex in examples:
+        feats = f.featurize(ex)
+        for d in sorted(feats):
+            indices.append(d)
+            data.append(feats[d])
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(examples), f.dim),
+    )
+
+
+def test_featurizer_deterministic_and_matrix_agrees(tiny_train):
+    big_v = 50_000  # pair-hash products exceed int64 from V of about 3400
+    rng = np.random.default_rng(7)
+    many = [_example(rng.integers(0, V, 3).tolist(), rng.integers(0, V, 2).tolist())
+            for _ in range(2 * classifier._BLOCK_ROWS + 5)]
+    cases = [
+        (Featurizer(tiny_train.vocab_size, 130), tiny_train.examples),
+        (Featurizer(V, D), []),
+        (Featurizer(V, D), [_example([1, 2], []), _example([], [3]), _example([], [])]),
+        (Featurizer(V, D), [_example([1, 2], [3]), _example([4], [5, 6])]),
+        (Featurizer(V, D), [_example([3, 3, 3], [5, 5]), _example([7, 7], [7, 7])]),
+        (Featurizer(V, D), many),
+        (Featurizer(big_v, 2 * big_v + 1009),
+         [_example([big_v - 1, 4321, 0], [big_v - 2, 3999]), _example([49_000], [48_999])]),
+    ]
+    for f, exs in cases:
+        got, want = f.matrix(exs), _stacked_featurize(f, exs)
+        assert got.shape == want.shape == (len(exs), f.dim)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert f.matrix(exs).data.tobytes() == got.data.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, V, 10**6])
+def test_matrix_rejects_out_of_range_tokens(bad):
     f = Featurizer(vocab_size=V, dim=D)
-    exs = [_example([1, 2], [3]), _example([4], [5, 6])]
-    M = f.matrix(exs).toarray()
-    for i, ex in enumerate(exs):
-        dense = np.zeros(D)
-        for d, c in f.featurize(ex).items():
-            dense[d] = c
-        assert np.array_equal(M[i], dense)
+    with pytest.raises(DataError, match="example 1"):
+        f.matrix([_example([1], [2]), _example([3], [bad])])
 
 
 def test_featurizer_rejects_small_dim():
@@ -136,6 +173,21 @@ def test_adam_step_matches_reference_formula(rng):
         expect = before.arrays()[name] - lr * m / (np.sqrt(v) + eps)
         assert np.allclose(params.arrays()[name], expect, atol=1e-12)
 
+    # several steps against the out-of-place update, bit for bit
+    ref = {n: a.copy() for n, a in params.arrays().items()}
+    ref_m = {n: (1 - b1) * g for n, g in grads.arrays().items()}
+    ref_v = {n: (1 - b2) * g * g for n, g in grads.arrays().items()}
+    for t in range(2, 6):
+        _, grads = loss_and_grad(params, X, targets, weights)
+        params, state = opt_step(params, grads, state)
+        for name, g in grads.arrays().items():
+            ref_m[name] = b1 * ref_m[name] + (1 - b1) * g
+            ref_v[name] = b2 * ref_v[name] + (1 - b2) * g * g
+            mhat = ref_m[name] / (1 - b1 ** t)
+            vhat = ref_v[name] / (1 - b2 ** t)
+            ref[name] -= lr * mhat / (np.sqrt(vhat) + eps)
+            assert np.array_equal(params.arrays()[name], ref[name]), (t, name)
+
 
 def test_nonfinite_gradient_aborts(rng):
     params, X, targets, weights, _ = _random_setup(rng)
@@ -181,6 +233,13 @@ def test_checkpoint_corrupt_and_mismatched(rng, tmp_path):
     trunc.write_text(path.read_text()[:100])
     with pytest.raises(DataError):
         load_checkpoint(trunc)
+
+    obj = json.loads(path.read_text())
+    del obj["meta"]["vocab_size"]
+    novocab = tmp_path / "v.ckpt.json"
+    novocab.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError):
+        load_checkpoint(novocab)
 
     obj = json.loads(path.read_text())
     obj["meta"]["K"] = K + 2

@@ -117,6 +117,23 @@ def test_generate_outputs_and_determinism(conf, tmp_path):
     assert len(train) == 600
 
 
+@pytest.mark.parametrize("bad", [-1, 10**6, 64])
+def test_shallow_out_of_range_token_exits_3(conf, tmp_path, bad):
+    out = tmp_path / "o"
+    assert _run("generate", "--config", conf, "--out-dir", str(out), "--seed", "5",
+                "--quiet") == 0
+    train = out / "train.jsonl"
+    lines = train.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["segment_a"][0] = bad
+    lines[1] = json.dumps(rec, sort_keys=True)
+    train.write_text("\n".join(lines) + "\n")
+    assert _run("shallow", "--config", conf, "--data", str(train),
+                "--out-dir", str(out), "--seed", "5", "--quiet",
+                "--set", "shallow.acc_band=0.0,1.0",
+                "--set", "shallow.high_conf_min=0.0") == 3
+
+
 def test_generate_bad_config_exits_2(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("data.bias_proportion = 1.5\n")

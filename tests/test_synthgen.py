@@ -148,6 +148,19 @@ def test_load_rejects_bad_files(tmp_path):
     badtag.write_text(header + "\n" + rec + "\n")
     with pytest.raises(DataError):
         load_dataset(badtag)
+    noid = tmp_path / "noid.jsonl"
+    rec = json.dumps({"segment_a": [1], "segment_b": [2], "label": 0,
+                      "bias_tag": "clean", "bias_token": None})
+    noid.write_text(header + "\n" + rec + "\n")
+    with pytest.raises(DataError, match="noid.jsonl:2"):
+        load_dataset(noid)
+    for tok, label in ((-1, 0), (60, 0), (2.5, 0), ("3", 0), (3, 3), (3, -1)):
+        badtok = tmp_path / "badtok.jsonl"
+        rec = json.dumps({"id": 0, "segment_a": [1], "segment_b": [2, tok], "label": label,
+                          "bias_tag": "clean", "bias_token": None})
+        badtok.write_text(header + "\n" + rec + "\n")
+        with pytest.raises(DataError, match="badtok.jsonl:2"):
+            load_dataset(badtok)
 
 
 def test_digest_stable():
