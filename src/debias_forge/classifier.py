@@ -367,8 +367,9 @@ def save_checkpoint(model: Model, path, step: int = 0, config_digest: str = ""):
         "W2": model.params.W2.tolist(),
         "b2": model.params.b2.tolist(),
     }
+    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+        fh.write(json.dumps(obj))
 
 
 def load_checkpoint(path) -> Model:

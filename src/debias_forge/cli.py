@@ -14,6 +14,7 @@ import difflib
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -26,7 +27,8 @@ from .errors import (
     ConfigError, DataError, DegenerateShallowError, NumericError, SchemaError,
 )
 from .evaluation import (
-    accuracy, anneal_sweep, bias_proportion_study, confidence_histogram,
+    accuracy, confidence_histogram, proportion_rows, proportion_seed, sweep_report,
+    sweep_seed,
 )
 from .objectives import METHODS, AnnealSchedule
 from .shallow import (
@@ -125,6 +127,30 @@ def _check_key(key: str):
                           f"(allowed: {', '.join(sorted(DEFAULTS))})")
 
 
+def _is_type_of(value, default) -> bool:
+    """bool takes bool, int takes int, float takes int or float; other
+    defaults (strings) accept anything and are checked where they are used."""
+    if isinstance(default, bool):
+        return type(value) is bool
+    if isinstance(default, int):
+        return type(value) is int
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return True
+
+
+def _check_value(key: str, value):
+    default = DEFAULTS[key]
+    if isinstance(default, list):
+        ok = all(_is_type_of(v, default[0]) for v in _as_list(value))
+    else:
+        ok = _is_type_of(value, default)
+    if not ok:
+        kind = type(default[0] if isinstance(default, list) else default).__name__
+        many = " or a comma-separated list of them" if isinstance(default, list) else ""
+        raise ConfigError(f"config key {key!r} takes {kind} values{many}, got {value!r}")
+
+
 def resolve_config(config_path=None, overrides=None, seed=None) -> dict:
     """Defaults, then file, then --set overrides, then --seed / env seed."""
     cfg = dict(DEFAULTS)
@@ -132,11 +158,13 @@ def resolve_config(config_path=None, overrides=None, seed=None) -> dict:
     if config_path:
         for key, value in parse_config_file(config_path).items():
             _check_key(key)
+            _check_value(key, value)
             cfg[key] = value
             if key.endswith(".seed"):
                 explicit_seeds.add(key)
     for key, value in (overrides or {}).items():
         _check_key(key)
+        _check_value(key, value)
         cfg[key] = value
         if key.endswith(".seed"):
             explicit_seeds.add(key)
@@ -445,21 +473,29 @@ def cmd_train(args) -> int:
 
 # -- report helpers ----------------------------------------------------------
 
-def _sweep_point(job):
-    a_value, method, s_cfg, t_cfg, sh_cfg, seeds = job
-    return anneal_sweep([a_value], method, s_cfg, t_cfg, sh_cfg, seeds).points[0]
+def _pieces_per_seed(n_seeds, n_values, jobs) -> int:
+    """How many pieces to cut each seed's values into for `jobs` processes.
+
+    Each piece rebuilds its seed's data, suite and (for the sweep) identify
+    stage, so there is one piece per seed while the seeds alone keep every
+    process busy, and just enough pieces to do so otherwise.
+    """
+    return max(1, min(n_values, math.ceil(jobs / max(n_seeds, 1))))
 
 
-def _proportion_point(job):
-    m_value, s_cfg, t_cfg, seeds = job
-    return bias_proportion_study([m_value], s_cfg, t_cfg, seeds)[0]
-
-
-def _fan_out(worker, job_list, jobs):
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, job_list))
-    return [worker(job) for job in job_list]
+def _fan_out_seeds(worker, values, fixed, seeds, jobs):
+    """worker(piece, *fixed, seed) over every seed and piece of `values`, on up
+    to `jobs` processes; returns each seed's per-value results, in seed order."""
+    k = _pieces_per_seed(len(seeds), len(values), jobs)
+    bounds = [i * len(values) // k for i in range(k + 1)]
+    pieces = [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    job_list = [(piece, *fixed, s) for s in seeds for piece in pieces]
+    if jobs > 1 and len(job_list) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(job_list))) as pool:
+            parts = list(pool.map(worker, *zip(*job_list)))
+    else:
+        parts = [worker(*job) for job in job_list]
+    return [[r for part in parts[i:i + k] for r in part] for i in range(0, len(parts), k)]
 
 
 def cmd_report(args) -> int:
@@ -505,19 +541,20 @@ def cmd_report(args) -> int:
 
     elif args.kind == "sweep":
         method = cfg["report.method"]
-        seeds = _as_list(cfg["report.seeds"])
-        jobs = [(a, method, synth_config(cfg), train_config(cfg), shallow_config(cfg), seeds)
-                for a in _as_list(cfg["report.a_values"])]
-        points = _fan_out(_sweep_point, jobs, args.jobs)
+        a_values = _as_list(cfg["report.a_values"])
+        per_seed = _fan_out_seeds(
+            sweep_seed, a_values, (method, synth_config(cfg), train_config(cfg), shallow_config(cfg)),
+            _as_list(cfg["report.seeds"]), args.jobs)
+        points = sweep_report(a_values, per_seed).points
         fields = ["value", "original_mean", "original_std",
                   "anti_biased_mean", "anti_biased_std", "seeds"]
         emit("sweep", fields, points, {"method": method, "points": len(points)})
 
     elif args.kind == "proportion":
-        seeds = _as_list(cfg["report.seeds"])
-        jobs = [(m, synth_config(cfg), train_config(cfg), seeds)
-                for m in _as_list(cfg["report.m_values"])]
-        rows = _fan_out(_proportion_point, jobs, args.jobs)
+        m_values = _as_list(cfg["report.m_values"])
+        per_seed = _fan_out_seeds(proportion_seed, m_values, (synth_config(cfg), train_config(cfg)),
+                                  _as_list(cfg["report.seeds"]), args.jobs)
+        rows = proportion_rows(m_values, per_seed)
         fields = ["m", "seeds", "original_mean", "original_std", "biased_mean",
                   "biased_std", "anti_biased_mean", "anti_biased_std"]
         emit("proportion", fields, rows, {"points": len(rows)})

@@ -79,46 +79,66 @@ class SweepReport:
     parameter: str
     points: list = field(default_factory=list)  # rows with value/means/spread/seeds
 
-    def to_rows(self):
-        return self.points
 
+def _seed_summary(per_seed, splits) -> list:
+    """Mean and spread over seeds at each point.
 
-def _run_baseline(synth_cfg: SynthConfig, train_cfg: TrainConfig, m: float, seed: int):
-    cfg = replace(synth_cfg, bias_proportion=m, seed=seed)
-    train = inject_bias(gen_dataset(cfg), m=m, rho=cfg.manipulated_fraction, seed=seed)
-    suite = make_eval_suite(cfg)
-    run_cfg = replace(train_cfg, method="baseline_ce", seed=seed)
-    model, _ = train_main(train, None, run_cfg)
-    return {split: accuracy(model, ds) for split, ds in suite.items()}
-
-
-def bias_proportion_study(m_values, synth_cfg: SynthConfig, train_cfg: TrainConfig, seeds):
-    """Baseline training per (m, seed); mean final accuracy on all splits."""
-    if any(not 0.0 <= m <= 1.0 for m in m_values):
-        raise ConfigError("m values must lie in [0, 1]")
+    per_seed[s][i] maps split -> accuracy for seed s at point i; returns one
+    dict of {split}_mean / {split}_std per point.
+    """
+    if not per_seed:
+        raise ConfigError("at least one seed is required")
     rows = []
-    for m in m_values:
-        accs = [_run_baseline(synth_cfg, train_cfg, m, s) for s in seeds]
-        row = {"m": m, "seeds": len(seeds)}
-        for split in ("original", "biased", "anti_biased"):
-            vals = np.array([a[split] for a in accs])
+    for i in range(len(per_seed[0])):
+        row = {}
+        for split in splits:
+            vals = np.array([accs[i][split] for accs in per_seed])
             row[f"{split}_mean"] = float(vals.mean())
             row[f"{split}_std"] = float(vals.std())
         rows.append(row)
     return rows
 
 
-def debias_pipeline(train, suite, method: str, train_cfg: TrainConfig,
-                    shallow_cfg: ShallowConfig, seed: int, exclude_subset: bool = True):
-    """Shallow -> identify -> debiased main training; returns (model, metrics).
+def proportion_seed(m_values, synth_cfg: SynthConfig, train_cfg: TrainConfig, seed: int):
+    """Baseline accuracy on every split at each m, for one seed.
 
-    By default the main model trains on train minus the shallow subset (the
-    shallow model never scores examples it saw). The teacher for conf_reg is
-    trained on the same reduced set with standard cross-entropy. With
-    exclude_subset=False the subset stays in and its examples are scored too.
+    The clean training set and the eval suite do not depend on m, so they are
+    generated once; only the bias injection and the training run per m.
     """
-    s_cfg = replace(shallow_cfg, seed=seed)
-    shallow_model, subset_ids = train_shallow(train, s_cfg)
+    if any(not 0.0 <= m <= 1.0 for m in m_values):
+        raise ConfigError("m values must lie in [0, 1]")
+    cfg = replace(synth_cfg, seed=seed)
+    clean = gen_dataset(cfg)
+    suite = make_eval_suite(cfg)
+    run_cfg = replace(train_cfg, method="baseline_ce", seed=seed)
+    out = []
+    for m in m_values:
+        train = inject_bias(clean, m=m, rho=cfg.manipulated_fraction, seed=seed)
+        model, _ = train_main(train, None, run_cfg)
+        out.append({split: accuracy(model, ds) for split, ds in suite.items()})
+    return out
+
+
+def proportion_rows(m_values, per_seed) -> list:
+    """Rows of the bias-proportion study from proportion_seed results, in seed order."""
+    summary = _seed_summary(per_seed, ("original", "biased", "anti_biased"))
+    return [{"m": m, "seeds": len(per_seed), **row} for m, row in zip(m_values, summary)]
+
+
+def bias_proportion_study(m_values, synth_cfg: SynthConfig, train_cfg: TrainConfig, seeds):
+    """Baseline training per (m, seed); mean final accuracy on all splits."""
+    return proportion_rows(
+        m_values, [proportion_seed(m_values, synth_cfg, train_cfg, s) for s in seeds])
+
+
+def identify_stage(train, shallow_cfg: ShallowConfig, seed: int, exclude_subset: bool = True):
+    """Shallow model -> bias weights -> main-training set; returns (weights, main_train).
+
+    By default the main-training set is train minus the shallow subset (the
+    shallow model never scores examples it saw). With exclude_subset=False
+    the subset stays in and its examples are scored too.
+    """
+    shallow_model, subset_ids = train_shallow(train, replace(shallow_cfg, seed=seed))
     weights = compute_bias_weights(shallow_model, train,
                                    subset_ids if exclude_subset else set())
     main_train = train if not exclude_subset else type(train)(
@@ -127,35 +147,52 @@ def debias_pipeline(train, suite, method: str, train_cfg: TrainConfig,
         vocab_size=train.vocab_size,
         provenance=train.provenance,
     )
+    return weights, main_train
+
+
+def debias_pipeline(train, suite, method: str, train_cfg: TrainConfig,
+                    shallow_cfg: ShallowConfig, seed: int, exclude_subset: bool = True):
+    """Shallow -> identify -> debiased main training; returns (model, metrics).
+
+    The main model trains on the set identify_stage returns. The teacher for
+    conf_reg is trained on the same set with standard cross-entropy.
+    """
+    weights, main_train = identify_stage(train, shallow_cfg, seed, exclude_subset)
     run_cfg = replace(train_cfg, method=method, seed=seed)
     teacher = train_teacher(main_train, run_cfg) if method == "conf_reg" else None
     return train_main(main_train, weights, run_cfg, eval_suite=suite, teacher=teacher)
 
 
-def anneal_sweep(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainConfig,
-                 shallow_cfg: ShallowConfig, seeds) -> SweepReport:
-    """One debiased run per (minimum alpha, seed); accuracy on original and
-    anti-biased splits per point."""
+def sweep_seed(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainConfig,
+               shallow_cfg: ShallowConfig, seed: int):
+    """Debiased accuracy on the original and anti-biased splits at each
+    minimum alpha, for one seed.
+
+    Data, eval suite, identify stage and conf_reg teacher depend only on the
+    seed (train_teacher drops the anneal schedule), so they are built once;
+    only the main training runs per a.
+    """
     if method == "baseline_ce":
         raise ConfigError("anneal sweep requires a debiasing method")
-    report = SweepReport(parameter="anneal_minimum")
-    for a in a_values:
-        orig, anti = [], []
-        for seed in seeds:
-            cfg = replace(synth_cfg, seed=seed)
-            train = inject_bias(gen_dataset(cfg), m=cfg.bias_proportion,
-                                rho=cfg.manipulated_fraction, seed=seed)
-            suite = make_eval_suite(cfg)
-            run_cfg = replace(train_cfg, anneal=AnnealSchedule(minimum=a, total_steps=1, enabled=True))
-            model, _ = debias_pipeline(train, None, method, run_cfg, shallow_cfg, seed)
-            orig.append(accuracy(model, suite["original"]))
-            anti.append(accuracy(model, suite["anti_biased"]))
-        report.points.append({
-            "value": a,
-            "original_mean": float(np.mean(orig)),
-            "original_std": float(np.std(orig)),
-            "anti_biased_mean": float(np.mean(anti)),
-            "anti_biased_std": float(np.std(anti)),
-            "seeds": len(seeds),
-        })
-    return report
+    schedules = [AnnealSchedule(minimum=a, total_steps=1, enabled=True) for a in a_values]
+    cfg = replace(synth_cfg, seed=seed)
+    train = inject_bias(gen_dataset(cfg), m=cfg.bias_proportion,
+                        rho=cfg.manipulated_fraction, seed=seed)
+    suite = make_eval_suite(cfg)
+    weights, main_train = identify_stage(train, shallow_cfg, seed)
+    run_cfg = replace(train_cfg, method=method, seed=seed)
+    teacher = train_teacher(main_train, run_cfg) if method == "conf_reg" else None
+    out = []
+    for sched in schedules:
+        model, _ = train_main(main_train, weights, replace(run_cfg, anneal=sched),
+                              teacher=teacher)
+        out.append({split: accuracy(model, suite[split]) for split in ("original", "anti_biased")})
+    return out
+
+
+def sweep_report(a_values, per_seed) -> SweepReport:
+    """The anneal sweep from sweep_seed results, in seed order."""
+    summary = _seed_summary(per_seed, ("original", "anti_biased"))
+    return SweepReport(parameter="anneal_minimum", points=[
+        {"value": a, **row, "seeds": len(per_seed)} for a, row in zip(a_values, summary)])
+

@@ -5,7 +5,7 @@ selection grid search and the multi-seed stability study.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -207,7 +207,7 @@ def grid_search_shallow(train, sizes, epoch_counts, base_cfg: ShallowConfig = Sh
     best = None
     for n_s in sorted(sizes):
         for e_s in sorted(epoch_counts):
-            cfg = ShallowConfig(**{**_cfg_dict(base_cfg), "sample_size": n_s, "epochs": e_s})
+            cfg = replace(base_cfg, sample_size=n_s, epochs=e_s)
             model, subset_ids = train_shallow(train, cfg)
             unseen = [ex for ex in train.examples if ex.id not in subset_ids][:max_unseen]
             diag = validate_shallow(model, unseen, thresholds)
@@ -232,7 +232,7 @@ def stability_study(train, cfg: ShallowConfig, n_runs: int, eval_ds):
     hard = [ex for ex in eval_ds.examples if bias_oracle_predict(ex) != ex.label]
     rows = []
     for run in range(n_runs):
-        run_cfg = ShallowConfig(**{**_cfg_dict(cfg), "seed": cfg.seed + 1000 * run})
+        run_cfg = replace(cfg, seed=cfg.seed + 1000 * run)
         model, subset_ids = train_shallow(train, run_cfg)
         unseen = [ex for ex in train.examples if ex.id not in subset_ids]
         diag = validate_shallow(model, unseen)
@@ -263,6 +263,9 @@ def save_bias_weights(weights: BiasWeights, path):
 
 
 def load_bias_weights(path, num_labels: int) -> BiasWeights:
+    """Read a weights file; every record needs an integer id, a p_b of
+    num_labels probabilities in [0, 1] summing to 1, a p_b_correct in [0, 1]
+    and a predicted label in [0, num_labels)."""
     entries = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -270,23 +273,30 @@ def load_bias_weights(path, num_labels: int) -> BiasWeights:
                 continue
             try:
                 rec = json.loads(line)
+                ex_id, p_b = rec["id"], rec["p_b"]
+                entry = {"p_b": p_b, "p_b_correct": rec["p_b_correct"],
+                         "predicted": rec["predicted"]}
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: bad weights line: {e}") from e
-            if len(rec.get("p_b", [])) != num_labels:
+            except (KeyError, TypeError) as e:
+                raise DataError(f"{path}:{lineno}: malformed weights record: {e!r}") from e
+            if type(ex_id) is not int:
+                raise DataError(f"{path}:{lineno}: id must be an integer, got {ex_id!r}")
+            if not isinstance(p_b, list) or len(p_b) != num_labels:
                 raise DataError(f"{path}:{lineno}: p_b length != num_labels {num_labels}")
-            if rec["id"] in entries:
-                raise DataError(f"{path}:{lineno}: duplicate id {rec['id']}")
-            entries[rec["id"]] = {"p_b": rec["p_b"],
-                                  "p_b_correct": rec["p_b_correct"],
-                                  "predicted": rec["predicted"]}
+            if not (all(type(p) in (int, float) and 0.0 <= p <= 1.0 for p in p_b)
+                    and abs(sum(p_b) - 1.0) <= 1e-6):
+                raise DataError(f"{path}:{lineno}: p_b must be probabilities in [0, 1] "
+                                f"summing to 1, got {p_b}")
+            p_correct, predicted = entry["p_b_correct"], entry["predicted"]
+            if not (type(p_correct) in (int, float) and 0.0 <= p_correct <= 1.0):
+                raise DataError(f"{path}:{lineno}: p_b_correct must be a probability in "
+                                f"[0, 1], got {p_correct!r}")
+            if not (type(predicted) is int and 0 <= predicted < num_labels):
+                raise DataError(f"{path}:{lineno}: predicted must be a label in "
+                                f"[0, {num_labels}), got {predicted!r}")
+            if ex_id in entries:
+                raise DataError(f"{path}:{lineno}: duplicate id {ex_id}")
+            entries[ex_id] = entry
     return BiasWeights(entries=entries, num_labels=num_labels)
 
-
-def _cfg_dict(cfg: ShallowConfig) -> dict:
-    return {
-        "sample_size": cfg.sample_size, "epochs": cfg.epochs,
-        "learning_rate": cfg.learning_rate, "batch_size": cfg.batch_size,
-        "hidden": cfg.hidden, "feature_dim": cfg.feature_dim,
-        "optimizer": cfg.optimizer, "adam_beta2": cfg.adam_beta2,
-        "seed": cfg.seed,
-    }

@@ -4,7 +4,7 @@ teacher training for confidence regularization, and batch-loss telemetry.
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -161,16 +161,9 @@ def train_teacher(train, cfg: TrainConfig):
     """Standard cross-entropy training on the main-training set; frozen after."""
     if cfg.epochs < 1:
         raise ConfigError("epochs must be >= 1")
-    base = TrainConfig(**{**asdict_flat(cfg), "method": "baseline_ce",
-                          "anneal": AnnealSchedule()})
+    base = replace(cfg, method="baseline_ce", anneal=AnnealSchedule())
     model, _ = train_main(train, None, base)
     return model
-
-
-def asdict_flat(cfg: TrainConfig) -> dict:
-    d = asdict(cfg)
-    d["anneal"] = cfg.anneal
-    return d
 
 
 def write_metrics(metrics, path):

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from debias_forge.cli import (
-    config_digest, main, parse_config_file, resolve_config,
+    _pieces_per_seed, config_digest, main, parse_config_file, resolve_config,
 )
 from debias_forge.errors import ConfigError
 from debias_forge.synthgen import load_dataset
@@ -141,6 +141,25 @@ def test_generate_bad_config_exits_2(tmp_path):
     assert _run("generate", "--config", str(conf), "--out-dir", str(out),
                 "--quiet") == 2
     assert not (out / "train.jsonl").exists()
+    # values of the wrong type, from --set and from the file
+    for bad in ("data.train_size=abc", "train.epochs=two"):
+        assert _run("generate", "--set", bad, "--out-dir", str(out), "--quiet") == 2
+    conf.write_text("report.seeds = 1, x\n")
+    assert _run("generate", "--config", str(conf), "--out-dir", str(out),
+                "--quiet") == 2
+    assert not (out / "train.jsonl").exists()
+
+
+def test_resolve_config_value_types():
+    ok = {"data.train_size": 10, "data.noise_token_rate": 1, "anneal.a": 0.5,
+          "anneal.enabled": True, "report.seeds": 4, "report.m_values": [0.5, 1],
+          "shallow.acc_band": [0.1, 0.9]}
+    assert resolve_config(None, ok)["report.m_values"] == [0.5, 1]
+    for key, value in [("data.train_size", 10.0), ("data.train_size", True),
+                       ("anneal.a", "x"), ("anneal.enabled", 1),
+                       ("report.seeds", [1, 2.5]), ("report.m_values", "a")]:
+        with pytest.raises(ConfigError, match=key):
+            resolve_config(None, {key: value})
 
 
 def test_identify_is_deterministic(pipeline):
@@ -191,6 +210,38 @@ def test_train_debias_method_via_cli(pipeline):
     ckpt = out / f"model-{config_digest(cfg)}.ckpt.json"
     meta = json.loads(ckpt.read_text())["meta"]
     assert meta["method"] == "poe"
+
+
+BAD_WEIGHT_RECORDS = {
+    "missing_id": lambda rec: rec.pop("id"),
+    "missing_p_b_correct": lambda rec: rec.pop("p_b_correct"),
+    "missing_predicted": lambda rec: rec.pop("predicted"),
+    "nan_p_b": lambda rec: rec.update(p_b=[float("nan"), 0.5, 0.5]),
+    "inf_p_b": lambda rec: rec.update(p_b=[float("inf"), 0.0, 0.0]),
+    "out_of_range_p_b": lambda rec: rec.update(p_b=[5.0, -4.0, 0.0]),
+    "sum_not_one_p_b": lambda rec: rec.update(p_b=[0.5, 0.5, 0.5]),
+    "string_p_b": lambda rec: rec.update(p_b=["0.2", 0.3, 0.5]),
+    "string_p_b_correct": lambda rec: rec.update(p_b_correct="x"),
+    "nan_p_b_correct": lambda rec: rec.update(p_b_correct=float("nan")),
+    "out_of_range_p_b_correct": lambda rec: rec.update(p_b_correct=1.5),
+    "out_of_range_predicted": lambda rec: rec.update(predicted=99),
+    "float_predicted": lambda rec: rec.update(predicted=1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WEIGHT_RECORDS))
+def test_train_bad_weights_exit_3(pipeline, case):
+    out = pipeline["out"]
+    lines = pipeline["weights"].read_text().splitlines()
+    rec = json.loads(lines[0])
+    BAD_WEIGHT_RECORDS[case](rec)
+    lines[0] = json.dumps(rec, sort_keys=True)
+    bad = out / "bad-weights.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert _run("train", "--config", pipeline["conf"],
+                "--set", "train.method=poe",
+                "--data", str(out / "train.jsonl"), "--weights", str(bad),
+                "--out-dir", str(out), "--seed", "5", "--quiet") == 3
 
 
 def test_train_missing_weights_exits_2(pipeline):
@@ -256,3 +307,41 @@ def test_report_missing_inputs_exit_2(tmp_path):
                 "--out-dir", str(tmp_path), "--quiet") == 2
     assert _run("report", "--kind", "compare",
                 "--out-dir", str(tmp_path), "--quiet") == 2
+
+
+@pytest.mark.parametrize("seeds,values,jobs,pieces", [
+    (3, 6, 1, 1),  # serial: one job per seed
+    (3, 4, 2, 1),  # at least as many seeds as jobs: one job per seed
+    (4, 4, 4, 1),
+    (1, 4, 2, 2),  # fewer seeds than jobs: split so every process works
+    (2, 6, 3, 2),
+    (1, 6, 4, 4),
+    (1, 4, 8, 4),  # never more pieces than values
+    (2, 0, 4, 1),
+])
+def test_pieces_per_seed(seeds, values, jobs, pieces):
+    assert _pieces_per_seed(seeds, values, jobs) == pieces
+
+
+@pytest.mark.parametrize("kind,sets", [
+    ("proportion", ["report.m_values=0.6,0.9"]),
+    ("sweep", ["report.method=conf_reg", "report.a_values=1.0,0.0"]),
+    # one seed on two processes: each seed's values are cut into pieces
+    ("proportion", ["report.m_values=0.6,0.9", "report.seeds=3"]),
+    ("sweep", ["report.method=conf_reg", "report.a_values=1.0,0.0", "report.seeds=3"]),
+])
+def test_report_study_kinds_same_bytes_for_any_jobs(conf, tmp_path, kind, sets):
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ["report", "--kind", kind, "--config", conf, "--out-dir", str(out),
+                "--jobs", jobs, "--seed", "5", "--quiet"]
+        for s in sets:
+            argv += ["--set", s]
+        assert _run(*argv) == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir() if not p.name.endswith(".manifest.json"))
+    assert [n.rsplit(".", 1)[1] for n in names] == ["csv", "json"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert json.loads((outs[0] / names[1]).read_text())["points"] == 2

@@ -5,11 +5,15 @@ import pytest
 
 from debias_forge.errors import ConfigError, DataError
 from debias_forge.evaluation import (
-    accuracy, bias_proportion_study, confidence_histogram, easy_hard_partition,
+    accuracy, bias_proportion_study, confidence_histogram, debias_pipeline,
+    easy_hard_partition, sweep_report, sweep_seed,
 )
+from debias_forge.objectives import AnnealSchedule
 from debias_forge.shallow import ShallowConfig
-from debias_forge.synthgen import SynthConfig, bias_oracle_predict, gen_dataset, inject_bias
-from debias_forge.trainer import TrainConfig
+from debias_forge.synthgen import (
+    SynthConfig, bias_oracle_predict, gen_dataset, inject_bias, make_eval_suite,
+)
+from debias_forge.trainer import TrainConfig, train_main
 
 
 class _StubModel:
@@ -130,3 +134,67 @@ def test_bias_proportion_edge_cases(tiny_cfg):
     assert row["anti_biased_mean"] >= row["biased_mean"] - 0.02
     with pytest.raises(ConfigError):
         bias_proportion_study([1.5], cfg, tcfg, seeds=[1])
+
+
+# -- the per-seed study and sweep equal a plain per-(point, seed) loop --------
+
+TINY_TRAIN = TrainConfig(epochs=1, batch_size=64, learning_rate=2e-3,
+                         hidden=8, feature_dim=130)
+TINY_SHALLOW = ShallowConfig(sample_size=150, epochs=2, learning_rate=0.005,
+                             hidden=8, feature_dim=130)
+SEEDS = [1, 2]
+
+
+def _mean_std(vals):
+    vals = np.array(vals)
+    return float(vals.mean()), float(vals.std())
+
+
+def test_bias_proportion_study_equals_naive_loop(tiny_cfg):
+    ms = [0.6, 0.9]
+    expected = []
+    for m in ms:
+        accs = []
+        for seed in SEEDS:
+            cfg = replace(tiny_cfg, bias_proportion=m, seed=seed)
+            train = inject_bias(gen_dataset(cfg), m=m, rho=cfg.manipulated_fraction,
+                                seed=seed)
+            suite = make_eval_suite(cfg)
+            model, _ = train_main(train, None, replace(TINY_TRAIN, seed=seed))
+            accs.append({split: accuracy(model, ds) for split, ds in suite.items()})
+        row = {"m": m, "seeds": len(SEEDS)}
+        for split in ("original", "biased", "anti_biased"):
+            row[f"{split}_mean"], row[f"{split}_std"] = _mean_std([a[split] for a in accs])
+        expected.append(row)
+    assert bias_proportion_study(ms, tiny_cfg, TINY_TRAIN, SEEDS) == expected
+
+
+def test_anneal_sweep_equals_naive_loop(tiny_cfg):
+    a_values = [1.0, 0.0]
+    expected = []
+    for a in a_values:
+        orig, anti = [], []
+        for seed in SEEDS:
+            cfg = replace(tiny_cfg, seed=seed)
+            train = inject_bias(gen_dataset(cfg), m=cfg.bias_proportion,
+                                rho=cfg.manipulated_fraction, seed=seed)
+            suite = make_eval_suite(cfg)
+            run_cfg = replace(TINY_TRAIN, anneal=AnnealSchedule(minimum=a, enabled=True))
+            model, _ = debias_pipeline(train, None, "conf_reg", run_cfg, TINY_SHALLOW, seed)
+            orig.append(accuracy(model, suite["original"]))
+            anti.append(accuracy(model, suite["anti_biased"]))
+        row = {"value": a, "seeds": len(SEEDS)}
+        row["original_mean"], row["original_std"] = _mean_std(orig)
+        row["anti_biased_mean"], row["anti_biased_std"] = _mean_std(anti)
+        expected.append(row)
+    report = sweep_report(a_values, [
+        sweep_seed(a_values, "conf_reg", tiny_cfg, TINY_TRAIN, TINY_SHALLOW, s) for s in SEEDS])
+    assert report.parameter == "anneal_minimum"
+    assert report.points == expected
+
+
+def test_anneal_sweep_rejects_baseline_and_empty_seeds(tiny_cfg):
+    with pytest.raises(ConfigError):
+        sweep_seed([1.0], "baseline_ce", tiny_cfg, TINY_TRAIN, TINY_SHALLOW, 1)
+    with pytest.raises(ConfigError):
+        sweep_report([1.0], [])
