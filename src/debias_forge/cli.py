@@ -93,7 +93,15 @@ DEFAULTS = {
 # ---------------------------------------------------------------------------
 # config file handling
 
-def _parse_value(text: str):
+# the one string-defaulted key whose text is parsed: 'oracle' or two reals
+BAND_KEY = "shallow.acc_band"
+
+
+def _parse_value(key: str, text: str):
+    """JSON scalars and comma lists, except that the value of a string key
+    is kept as given (a weights path of 12345 names a file, not a number)."""
+    if isinstance(DEFAULTS.get(key), str) and key != BAND_KEY:
+        return text
     parts = [p.strip() for p in text.split(",")]
     vals = []
     for p in parts:
@@ -115,7 +123,7 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            out[key] = _parse_value(value)
+            out[key] = _parse_value(key, value)
     return out
 
 
@@ -128,19 +136,24 @@ def _check_key(key: str):
 
 
 def _is_type_of(value, default) -> bool:
-    """bool takes bool, int takes int, float takes int or float; other
-    defaults (strings) accept anything and are checked where they are used."""
+    """bool takes bool, int takes int, float takes int or float, str takes str."""
     if isinstance(default, bool):
         return type(value) is bool
     if isinstance(default, int):
         return type(value) is int
     if isinstance(default, float):
         return type(value) in (int, float)
-    return True
+    return type(value) is str
 
 
 def _check_value(key: str, value):
     default = DEFAULTS[key]
+    if key == BAND_KEY:
+        if not (value == "oracle" or (isinstance(value, list) and len(value) == 2
+                                      and all(_is_type_of(v, 0.0) for v in value))):
+            raise ConfigError(f"{BAND_KEY} must be 'oracle' or two comma-separated "
+                              f"reals, got {value!r}")
+        return
     if isinstance(default, list):
         ok = all(_is_type_of(v, default[0]) for v in _as_list(value))
     else:
@@ -238,11 +251,9 @@ def train_config(cfg: dict) -> TrainConfig:
 
 def shallow_thresholds(cfg: dict, dataset) -> ShallowThresholds:
     base = ShallowThresholds(high_conf_min=cfg["shallow.high_conf_min"])
-    band = cfg["shallow.acc_band"]
+    band = cfg[BAND_KEY]
     if band == "oracle":
         return oracle_band_thresholds(dataset, width=cfg["shallow.band_width"], base=base)
-    if not (isinstance(band, list) and len(band) == 2):
-        raise ConfigError("shallow.acc_band must be 'oracle' or two comma-separated reals")
     return replace(base, acc_band=(float(band[0]), float(band[1])))
 
 
@@ -327,7 +338,7 @@ def cmd_shallow(args) -> int:
     outputs = []
 
     if args.grid:
-        best, rows = grid_search_shallow(
+        best, rows, best_fit = grid_search_shallow(
             train, _as_list(cfg["shallow.grid_sizes"]), _as_list(cfg["shallow.grid_epochs"]),
             base_cfg=s_cfg, thresholds=thresholds,
         )
@@ -342,9 +353,10 @@ def cmd_shallow(args) -> int:
                            s_cfg.seed, started)
             raise DegenerateShallowError("no grid cell passed the selection thresholds")
         s_cfg = best
+        model, subset_ids = best_fit
         logger.info("grid selected sample_size=%d epochs=%d", best.sample_size, best.epochs)
-
-    model, subset_ids = train_shallow(train, s_cfg)
+    else:
+        model, subset_ids = train_shallow(train, s_cfg)
     unseen = [ex for ex in train.examples if ex.id not in subset_ids][:5000]
     diag = validate_shallow(model, unseen, thresholds)
 
@@ -616,7 +628,7 @@ def _parse_override(text: str):
     if "=" not in text:
         raise ConfigError(f"--set expects key=value, got {text!r}")
     key, value = (s.strip() for s in text.split("=", 1))
-    return key, _parse_value(value)
+    return key, _parse_value(key, value)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifier import Featurizer, Model, OptState, forward, init_params, loss_and_grad, opt_step
+from .classifier import (
+    Featurizer, Model, ModelParams, OptState, forward, init_params, loss_and_grad, opt_step,
+)
 from .errors import ConfigError, DataError
 from .rng import substream
 from .synthgen import bias_oracle_predict
@@ -106,37 +108,80 @@ class BiasWeights:
         return len(self.entries)
 
 
-def train_shallow(train, cfg: ShallowConfig):
-    """Train on a seeded uniform subsample; returns (Model, subset id set)."""
+@dataclass
+class ShallowRun:
+    """A shallow training run that can be continued to more epochs: the
+    featurized subset, params, optimizer state and shuffle stream after
+    `epochs` epochs of training under `cfg` (whose own epochs are ignored)."""
+    cfg: ShallowConfig
+    featurizer: Featurizer
+    X: object  # CSR matrix of the subset
+    onehot: np.ndarray
+    subset_ids: set
+    params: ModelParams
+    state: OptState
+    shuffle_rng: np.random.Generator
+    epochs: int = 0
+
+    @classmethod
+    def start(cls, train, cfg: ShallowConfig):
+        """Pick the seeded subset, featurize it and initialize; no epochs yet."""
+        cfg.validate(train_size=len(train))
+        K = train.num_labels
+        sub_rng = substream(cfg.seed, "subsample")
+        pick = sub_rng.permutation(len(train))[:cfg.sample_size]
+        subset = [train.examples[int(i)] for i in sorted(pick)]
+
+        featurizer = Featurizer(vocab_size=train.vocab_size, dim=cfg.feature_dim)
+        X = featurizer.matrix(subset)
+        y = np.array([ex.label for ex in subset], dtype=np.int64)
+        onehot = np.zeros((len(subset), K))
+        onehot[np.arange(len(subset)), y] = 1.0
+
+        params = init_params(cfg.feature_dim, cfg.hidden, K, substream(cfg.seed, "init"))
+        state = OptState(learning_rate=cfg.learning_rate, mode=cfg.optimizer,
+                         beta2=cfg.adam_beta2)
+        return cls(cfg=cfg, featurizer=featurizer, X=X, onehot=onehot,
+                   subset_ids=set(ex.id for ex in subset), params=params, state=state,
+                   shuffle_rng=substream(cfg.seed, "shuffle"))
+
+
+def train_shallow(train, cfg: ShallowConfig, run: ShallowRun = None):
+    """Train on a seeded uniform subsample; returns (Model, subset id set).
+
+    With `run`, continue that run from its epoch count to cfg.epochs instead
+    of starting afresh; the run must have been started on the same training
+    set with the same config apart from epochs. The model equals a fresh
+    cfg.epochs run bit for bit, and continuing the run further leaves it
+    unchanged.
+    """
     cfg.validate(train_size=len(train))
-    K = train.num_labels
-    sub_rng = substream(cfg.seed, "subsample")
-    pick = sub_rng.permutation(len(train))[:cfg.sample_size]
-    subset = [train.examples[int(i)] for i in sorted(pick)]
-    subset_ids = set(ex.id for ex in subset)
-
-    featurizer = Featurizer(vocab_size=train.vocab_size, dim=cfg.feature_dim)
-    X = featurizer.matrix(subset)
-    y = np.array([ex.label for ex in subset], dtype=np.int64)
-    onehot = np.zeros((len(subset), K))
-    onehot[np.arange(len(subset)), y] = 1.0
-
-    params = init_params(cfg.feature_dim, cfg.hidden, K, substream(cfg.seed, "init"))
-    state = OptState(learning_rate=cfg.learning_rate, mode=cfg.optimizer,
-                     beta2=cfg.adam_beta2)
-    shuffle_rng = substream(cfg.seed, "shuffle")
-    n = len(subset)
-    for _epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
+    if run is None:
+        run = ShallowRun.start(train, cfg)
+    else:
+        if replace(run.cfg, epochs=cfg.epochs) != cfg:
+            raise ConfigError(f"cannot continue a shallow run started with {run.cfg} "
+                              f"under {cfg}: only epochs may differ")
+        if run.epochs > cfg.epochs:
+            raise ConfigError(f"shallow run is already at {run.epochs} epochs, "
+                              f"past the requested {cfg.epochs}")
+        # opt_step updates in place: train a copy, so that every model this
+        # run returned before keeps its own params
+        run.params = run.params.copy()
+    n = run.onehot.shape[0]
+    for _epoch in range(run.epochs, cfg.epochs):
+        order = run.shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            _, grads = loss_and_grad(params, X[idx], onehot[idx], np.ones(idx.size))
-            params, state = opt_step(params, grads, state)
+            _, grads = loss_and_grad(run.params, run.X[idx], run.onehot[idx],
+                                     np.ones(idx.size))
+            run.params, run.state = opt_step(run.params, grads, run.state)
+    run.epochs = cfg.epochs
 
-    model = Model(params=params, featurizer=featurizer, num_labels=K,
+    model = Model(params=run.params, featurizer=run.featurizer, num_labels=train.num_labels,
                   meta={"role": "shallow", "seed": cfg.seed,
-                        "subset_ids": sorted(subset_ids)})
-    return model, subset_ids
+                        "subset_ids": sorted(run.subset_ids)})
+    return model, run.subset_ids
 
 
 def compute_bias_weights(shallow: Model, train, subset_ids) -> BiasWeights:
@@ -197,30 +242,38 @@ def grid_search_shallow(train, sizes, epoch_counts, base_cfg: ShallowConfig = Sh
                         max_unseen: int = 5000):
     """One shallow model per (sample_size, epochs) cell, scored on unseen data.
 
-    Returns (best ShallowConfig or None, report rows). The first passing cell
-    under (smallest sample_size, then smallest epochs) wins; a grid with no
-    passing cell returns best=None rather than raising.
+    Each sample size is trained once: its cells, in ascending epochs, continue
+    one run, so the cost is the largest epoch count per size and every cell
+    equals a fresh train_shallow run of its own.
+
+    Returns (best ShallowConfig or None, report rows, (model, subset ids) of
+    the best cell or None). The first passing cell under (smallest
+    sample_size, then smallest epochs) wins; a grid with no passing cell
+    returns best=None rather than raising.
     """
     if not sizes or not epoch_counts:
         raise ConfigError("grid sizes and epoch_counts must be non-empty")
     rows = []
-    best = None
+    best = best_fit = None
     for n_s in sorted(sizes):
-        for e_s in sorted(epoch_counts):
-            cfg = replace(base_cfg, sample_size=n_s, epochs=e_s)
-            model, subset_ids = train_shallow(train, cfg)
-            unseen = [ex for ex in train.examples if ex.id not in subset_ids][:max_unseen]
+        cfgs = [replace(base_cfg, sample_size=n_s, epochs=e_s) for e_s in sorted(epoch_counts)]
+        run = ShallowRun.start(train, cfgs[0])
+        unseen = [ex for ex in train.examples if ex.id not in run.subset_ids][:max_unseen]
+        fits = [train_shallow(train, cfg, run=run) for cfg in cfgs]
+        # score only once the optimizer state is released, to keep peak memory down
+        del run
+        for cfg, (model, subset_ids) in zip(cfgs, fits):
             diag = validate_shallow(model, unseen, thresholds)
             rows.append({
-                "n_s": n_s, "e_s": e_s,
+                "n_s": n_s, "e_s": cfg.epochs,
                 "unseen_acc": diag.unseen_accuracy,
                 "high_conf_frac": diag.high_conf_fraction,
                 "degenerate": diag.degenerate,
                 "pass": diag.passed,
             })
             if diag.passed and best is None:
-                best = cfg
-    return best, rows
+                best, best_fit = cfg, (model, subset_ids)
+    return best, rows, best_fit
 
 
 def stability_study(train, cfg: ShallowConfig, n_runs: int, eval_ds):

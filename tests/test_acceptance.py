@@ -22,7 +22,7 @@ from debias_forge.classifier import (
 )
 from debias_forge.cli import main as cli_main
 from debias_forge.evaluation import (
-    accuracy, bias_proportion_study, debias_pipeline,
+    accuracy, bias_proportion_study, identify_stage,
 )
 from debias_forge.objectives import (
     AnnealSchedule, anneal_alpha, anneal_probs, loss_confreg, loss_poe,
@@ -35,7 +35,7 @@ from debias_forge.shallow import (
 from debias_forge.synthgen import (
     SynthConfig, gen_dataset, inject_bias, make_eval_suite,
 )
-from debias_forge.trainer import TrainConfig, train_main
+from debias_forge.trainer import TrainConfig, train_main, train_teacher
 
 
 # Shallow settings used as the bias detector in the training-time checks:
@@ -60,6 +60,15 @@ def _biased_set(rho, m, seed):
                   seed=seed)
     train = inject_bias(gen_dataset(cfg), m=m, rho=rho, seed=seed)
     return train, make_eval_suite(cfg)
+
+
+def _debias(identified, method, cfg):
+    """debias_pipeline's training stage on an identify_stage result, so that
+    a check identifies once per seed and trains every method on it."""
+    weights, main_train = identified
+    cfg = replace(cfg, method=method)
+    teacher = train_teacher(main_train, cfg) if method == "conf_reg" else None
+    return train_main(main_train, weights, cfg, teacher=teacher)
 
 
 @pytest.fixture(scope="module")
@@ -199,8 +208,8 @@ def test_c06_bias_proportion_monotone():
 def test_c07_shallow_grid_selection(full_train):
     train, _ = full_train
     thresholds = oracle_band_thresholds(train, width=0.10)
-    best, rows = grid_search_shallow(train, [500, 1000, 2000], [20, 50, 100],
-                                     thresholds=thresholds)
+    best, rows, _ = grid_search_shallow(train, [500, 1000, 2000], [20, 50, 100],
+                                        thresholds=thresholds)
     found = best is not None
     in_band = False
     if found:
@@ -231,10 +240,9 @@ def test_c08_methods_beat_baseline(full_train):
         model, _ = train_main(train, None, TrainConfig(epochs=4, seed=seed))
         base_anti.append(accuracy(model, suite["anti_biased"]))
         base_orig.append(accuracy(model, suite["original"]))
+        identified = identify_stage(train, DETECTOR, seed)
         for method in methods:
-            m_model, _ = debias_pipeline(train, None, method,
-                                         TrainConfig(epochs=5, seed=seed),
-                                         DETECTOR, seed)
+            m_model, _ = _debias(identified, method, TrainConfig(epochs=5, seed=seed))
             anti[method].append(accuracy(m_model, suite["anti_biased"]))
             orig[method].append(accuracy(m_model, suite["original"]))
     b_anti = float(np.mean(base_anti))
@@ -262,15 +270,14 @@ def test_c09_anneal_interpolation():
     base = []
     for seed in seeds:
         train, suite = _biased_set(rho=0.5, m=0.9, seed=seed)
-        model, _ = debias_pipeline(train, None, "baseline_ce",
-                                   TrainConfig(epochs=2, seed=seed),
-                                   DETECTOR, seed)
+        identified = identify_stage(train, DETECTOR, seed)
+        model, _ = _debias(identified, "baseline_ce", TrainConfig(epochs=2, seed=seed))
         base.append(accuracy(model, suite["anti_biased"]))
         for a in a_values:
             cfg = TrainConfig(
                 epochs=2, seed=seed,
                 anneal=AnnealSchedule(minimum=a, total_steps=1, enabled=True))
-            m_model, _ = debias_pipeline(train, None, "poe", cfg, DETECTOR, seed)
+            m_model, _ = _debias(identified, "poe", cfg)
             anti[a].append(accuracy(m_model, suite["anti_biased"]))
     means = [float(np.mean(anti[a])) for a in a_values]
     rho, _ = spearmanr(a_values, means)
@@ -288,11 +295,10 @@ def test_c10_loss_spread_compression():
     details = []
     for seed in (1, 2):
         train, _ = _biased_set(rho=0.3, m=0.9, seed=seed)
+        identified = identify_stage(train, DETECTOR, seed)
         spreads = {}
         for method in ("baseline_ce", "reweight"):
-            _, log = debias_pipeline(train, None, method,
-                                     TrainConfig(epochs=4, seed=seed),
-                                     DETECTOR, seed)
+            _, log = _debias(identified, method, TrainConfig(epochs=4, seed=seed))
             spreads[method] = float(np.mean([r["p50"] - r["p25"] for r in log]))
         ok = ok and spreads["baseline_ce"] >= spreads["reweight"]
         details.append(f"seed {seed}: base {spreads['baseline_ce']:.3f} vs "

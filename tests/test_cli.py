@@ -68,9 +68,14 @@ def pipeline(conf, tmp_path):
 
 def test_parse_config_file(tmp_path):
     p = tmp_path / "c.conf"
-    p.write_text("a.b = 3\nx = hello  # trailing comment\nlist = 1,2.5,z\n")
+    p.write_text("a.b = 3\nx = hello  # trailing comment\nlist = 1,2.5,z\n"
+                 "train.weights_path = 12345\ntrain.method = 0\n"
+                 "shallow.acc_band = 0.1, 0.9\n")
     parsed = parse_config_file(p)
-    assert parsed == {"a.b": 3, "x": "hello", "list": [1, 2.5, "z"]}
+    # string keys keep their text; shallow.acc_band parses as two reals
+    assert parsed == {"a.b": 3, "x": "hello", "list": [1, 2.5, "z"],
+                      "train.weights_path": "12345", "train.method": "0",
+                      "shallow.acc_band": [0.1, 0.9]}
     p.write_text("no equals sign\n")
     with pytest.raises(ConfigError):
         parse_config_file(p)
@@ -142,7 +147,8 @@ def test_generate_bad_config_exits_2(tmp_path):
                 "--quiet") == 2
     assert not (out / "train.jsonl").exists()
     # values of the wrong type, from --set and from the file
-    for bad in ("data.train_size=abc", "train.epochs=two"):
+    for bad in ("data.train_size=abc", "train.epochs=two", "shallow.acc_band=a,b",
+                "shallow.acc_band=0.5", "shallow.acc_band=orcale"):
         assert _run("generate", "--set", bad, "--out-dir", str(out), "--quiet") == 2
     conf.write_text("report.seeds = 1, x\n")
     assert _run("generate", "--config", str(conf), "--out-dir", str(out),
@@ -157,7 +163,8 @@ def test_resolve_config_value_types():
     assert resolve_config(None, ok)["report.m_values"] == [0.5, 1]
     for key, value in [("data.train_size", 10.0), ("data.train_size", True),
                        ("anneal.a", "x"), ("anneal.enabled", 1),
-                       ("report.seeds", [1, 2.5]), ("report.m_values", "a")]:
+                       ("report.seeds", [1, 2.5]), ("report.m_values", "a"),
+                       ("train.weights_path", 12345), ("shallow.acc_band", [0.1, True])]:
         with pytest.raises(ConfigError, match=key):
             resolve_config(None, {key: value})
 
@@ -210,6 +217,19 @@ def test_train_debias_method_via_cli(pipeline):
     ckpt = out / f"model-{config_digest(cfg)}.ckpt.json"
     meta = json.loads(ckpt.read_text())["meta"]
     assert meta["method"] == "poe"
+
+
+@pytest.mark.parametrize("name", ["12345", "0"])
+def test_train_numeric_weights_path_is_a_file_name(pipeline, monkeypatch, name):
+    out = pipeline["out"]
+    (out / name).write_bytes(pipeline["weights"].read_bytes())
+    monkeypatch.chdir(out)
+    assert _run("train", "--config", pipeline["conf"], "--set", "train.method=poe",
+                "--set", f"train.weights_path={name}", "--data", "train.jsonl",
+                "--out-dir", "w", "--seed", "5", "--quiet") == 0
+    cfg = resolve_config(pipeline["conf"], {"train.method": "poe",
+                                            "train.weights_path": name}, seed=5)
+    assert (out / "w" / f"model-{config_digest(cfg)}.ckpt.json").exists()
 
 
 BAD_WEIGHT_RECORDS = {

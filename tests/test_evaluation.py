@@ -6,14 +6,14 @@ import pytest
 from debias_forge.errors import ConfigError, DataError
 from debias_forge.evaluation import (
     accuracy, bias_proportion_study, confidence_histogram, debias_pipeline,
-    easy_hard_partition, sweep_report, sweep_seed,
+    easy_hard_partition, identify_stage, sweep_report, sweep_seed,
 )
 from debias_forge.objectives import AnnealSchedule
 from debias_forge.shallow import ShallowConfig
 from debias_forge.synthgen import (
     SynthConfig, bias_oracle_predict, gen_dataset, inject_bias, make_eval_suite,
 )
-from debias_forge.trainer import TrainConfig, train_main
+from debias_forge.trainer import TrainConfig, train_main, train_teacher
 
 
 class _StubModel:
@@ -198,3 +198,17 @@ def test_anneal_sweep_rejects_baseline_and_empty_seeds(tiny_cfg):
         sweep_seed([1.0], "baseline_ce", tiny_cfg, TINY_TRAIN, TINY_SHALLOW, 1)
     with pytest.raises(ConfigError):
         sweep_report([1.0], [])
+
+
+@pytest.mark.parametrize("method", ["poe", "conf_reg"])
+def test_debias_pipeline_equals_identify_then_train(tiny_train, tiny_suite, method):
+    # the acceptance checks identify once per seed and train each method on it
+    model, log = debias_pipeline(tiny_train, tiny_suite, method, TINY_TRAIN, TINY_SHALLOW, 4)
+    weights, main_train = identify_stage(tiny_train, TINY_SHALLOW, 4)
+    run_cfg = replace(TINY_TRAIN, method=method, seed=4)
+    teacher = train_teacher(main_train, run_cfg) if method == "conf_reg" else None
+    ref, ref_log = train_main(main_train, weights, run_cfg, eval_suite=tiny_suite,
+                              teacher=teacher)
+    assert log == ref_log
+    for name, arr in ref.params.arrays().items():
+        assert arr.tobytes() == model.params.arrays()[name].tobytes()

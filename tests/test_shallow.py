@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from debias_forge import shallow
 from debias_forge.classifier import Featurizer, Model, ModelParams
 from debias_forge.errors import ConfigError, DataError
 from debias_forge.shallow import (
-    BiasWeights, ShallowConfig, ShallowThresholds, compute_bias_weights,
+    BiasWeights, ShallowConfig, ShallowRun, ShallowThresholds, compute_bias_weights,
     grid_search_shallow, load_bias_weights, oracle_achievable_accuracy,
     oracle_band_thresholds, save_bias_weights, stability_study, train_shallow,
     validate_shallow,
@@ -104,8 +105,8 @@ def test_oracle_band(tiny_train, tiny_suite):
 def test_grid_search_prefers_smaller_cells(tiny_train):
     wide = ShallowThresholds(acc_band=(0.0, 1.0), high_conf_min=0.0,
                              degenerate_margin=0.0)
-    best, rows = grid_search_shallow(tiny_train, [400, 200], [2, 1],
-                                     base_cfg=FAST, thresholds=wide)
+    best, rows, _ = grid_search_shallow(tiny_train, [400, 200], [2, 1],
+                                        base_cfg=FAST, thresholds=wide)
     assert (best.sample_size, best.epochs) == (200, 1)
     assert len(rows) == 4
     assert all(r["pass"] for r in rows)
@@ -113,12 +114,96 @@ def test_grid_search_prefers_smaller_cells(tiny_train):
 
 def test_grid_search_no_pass_returns_none(tiny_train):
     narrow = ShallowThresholds(acc_band=(0.999, 1.0))
-    best, rows = grid_search_shallow(tiny_train, [200], [1],
-                                     base_cfg=FAST, thresholds=narrow)
-    assert best is None
+    best, rows, best_fit = grid_search_shallow(tiny_train, [200], [1],
+                                               base_cfg=FAST, thresholds=narrow)
+    assert best is None and best_fit is None
     assert len(rows) == 1 and not rows[0]["pass"]
     with pytest.raises(ConfigError):
         grid_search_shallow(tiny_train, [], [1], base_cfg=FAST)
+
+
+def _same_params(a, b):
+    return all(arr.dtype == b.params.arrays()[name].dtype
+               and arr.tobytes() == b.params.arrays()[name].tobytes()
+               for name, arr in a.params.arrays().items())
+
+
+def _grid_by_fresh_runs(train, sizes, epoch_counts, base_cfg, thresholds):
+    """Reference grid: one fresh train_shallow run per cell, scored at once."""
+    best, rows, models = None, [], []
+    for n_s in sorted(sizes):
+        for e_s in sorted(epoch_counts):
+            cfg = replace(base_cfg, sample_size=n_s, epochs=e_s)
+            model, subset_ids = train_shallow(train, cfg)
+            models.append(model)
+            unseen = [ex for ex in train.examples if ex.id not in subset_ids][:5000]
+            diag = validate_shallow(model, unseen, thresholds)
+            rows.append({"n_s": n_s, "e_s": e_s, "unseen_acc": diag.unseen_accuracy,
+                         "high_conf_frac": diag.high_conf_fraction,
+                         "degenerate": diag.degenerate, "pass": diag.passed})
+            if diag.passed and best is None:
+                best = (cfg, model, subset_ids)
+    return best, rows, models
+
+
+def test_grid_search_equals_fresh_run_per_cell(tiny_train, monkeypatch):
+    sizes, epoch_counts = [400, 200], [3, 1, 3]
+    wide = ShallowThresholds(acc_band=(0.0, 1.0), high_conf_min=0.0,
+                             degenerate_margin=0.0)
+    _, ref_rows, ref_models = _grid_by_fresh_runs(tiny_train, sizes, epoch_counts,
+                                                  FAST, wide)
+    # a one-point band on the last cell's accuracy: the first cell does not pass
+    target = ref_rows[-1]["unseen_acc"]
+    for band in [(0.0, 1.0), (target, target)]:
+        thresholds = replace(wide, acc_band=band)
+        ref_best, ref_rows, _ = _grid_by_fresh_runs(tiny_train, sizes, epoch_counts,
+                                                    FAST, thresholds)
+        # capture every cell's model the way the benchmark does
+        captured = []
+        train_fn = shallow.train_shallow
+
+        def keep_model(*args, **kwargs):
+            model, subset_ids = train_fn(*args, **kwargs)
+            captured.append(model)
+            return model, subset_ids
+
+        monkeypatch.setattr(shallow, "train_shallow", keep_model)
+        best, rows, (model, subset_ids) = grid_search_shallow(
+            tiny_train, sizes, epoch_counts, base_cfg=FAST, thresholds=thresholds)
+        monkeypatch.undo()
+        assert rows == ref_rows
+        assert best == ref_best[0]
+        assert subset_ids == ref_best[2]
+        assert model.meta == ref_best[1].meta and _same_params(model, ref_best[1])
+        assert len(captured) == len(ref_models) == 6
+        assert all(_same_params(a, b) for a, b in zip(captured, ref_models))
+    assert best != replace(FAST, sample_size=200, epochs=1)
+
+
+def test_continued_run_equals_fresh_run(tiny_train):
+    cfg1, cfg3 = replace(FAST, epochs=1), replace(FAST, epochs=3)
+    run = ShallowRun.start(tiny_train, cfg1)
+    short, ids1 = train_shallow(tiny_train, cfg1, run=run)
+    long, ids3 = train_shallow(tiny_train, cfg3, run=run)
+    assert run.epochs == 3
+    for cfg, model, ids in ((cfg1, short, ids1), (cfg3, long, ids3)):
+        fresh, fresh_ids = train_shallow(tiny_train, cfg)
+        assert ids == fresh_ids
+        assert model.meta == fresh.meta
+        assert _same_params(model, fresh)
+    assert not _same_params(short, long)
+
+
+def test_continuing_a_foreign_or_later_run_raises(tiny_train):
+    run = ShallowRun.start(tiny_train, FAST)
+    for other in (replace(FAST, sample_size=100), replace(FAST, seed=4)):
+        with pytest.raises(ConfigError, match="only epochs may differ"):
+            train_shallow(tiny_train, other, run=run)
+    assert run.epochs == 0
+    train_shallow(tiny_train, replace(FAST, epochs=3), run=run)
+    with pytest.raises(ConfigError, match="past the requested 2"):
+        train_shallow(tiny_train, replace(FAST, epochs=2), run=run)
+    assert run.epochs == 3
 
 
 def test_stability_study_shapes(tiny_train, tiny_suite):
