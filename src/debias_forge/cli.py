@@ -485,6 +485,13 @@ def cmd_train(args) -> int:
 
 # -- report helpers ----------------------------------------------------------
 
+def worker_count(jobs: int) -> int:
+    """The processes --jobs asks for, at most one per CPU."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _pieces_per_seed(n_seeds, n_values, jobs) -> int:
     """How many pieces to cut each seed's values into for `jobs` processes.
 
@@ -644,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="override every *.seed key (default: DEBIAS_FORGE_SEED)")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for fan-out commands")
+                        help="worker processes for fan-out commands (at most one per CPU)")
     common.add_argument("--out-dir", default=".", help="output directory")
     common.add_argument("--quiet", action="store_true", help="suppress progress logging")
     common.add_argument("--set", dest="overrides_raw", action="append", default=[],
@@ -705,6 +712,7 @@ def main(argv=None) -> int:
     )
     try:
         args.overrides = dict(_parse_override(s) for s in args.overrides_raw)
+        args.jobs = worker_count(args.jobs)
         return COMMANDS[args.command](args)
     except ConfigError as e:
         logger.error("%s", e)

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Each class maps to a distinct CLI exit code (see cli.EXIT_CODES).
+Each class maps to a distinct CLI exit code (see the `except` clauses of
+cli.main and the exit codes in the cli module docstring).
 """
 
 

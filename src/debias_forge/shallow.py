@@ -202,15 +202,17 @@ def compute_bias_weights(shallow: Model, train, subset_ids) -> BiasWeights:
     return BiasWeights(entries=entries, num_labels=train.num_labels)
 
 
-def validate_shallow(shallow: Model, unseen, thresholds: ShallowThresholds = ShallowThresholds()):
+def validate_shallow(shallow: Model, unseen, thresholds: ShallowThresholds = ShallowThresholds(),
+                     X=None):
     """Accuracy / confidence diagnosis on held-out unseen examples.
 
     unseen: Dataset or list of Examples, disjoint from the shallow subset.
+    X: unseen's feature matrix under shallow's featurizer, if already built.
     """
     examples = unseen.examples if hasattr(unseen, "examples") else list(unseen)
     if not examples:
         raise DataError("empty unseen set")
-    probs = shallow.predict_proba(examples)
+    probs = shallow.predict_proba(examples) if X is None else forward(shallow.params, X)
     y = np.array([ex.label for ex in examples], dtype=np.int64)
     pred = np.argmax(probs, axis=1)
     maxp = probs[np.arange(len(examples)), pred]
@@ -244,7 +246,8 @@ def grid_search_shallow(train, sizes, epoch_counts, base_cfg: ShallowConfig = Sh
 
     Each sample size is trained once: its cells, in ascending epochs, continue
     one run, so the cost is the largest epoch count per size and every cell
-    equals a fresh train_shallow run of its own.
+    equals a fresh train_shallow run of its own. The size's unseen examples
+    are featurized once and score all its cells.
 
     Returns (best ShallowConfig or None, report rows, (model, subset ids) of
     the best cell or None). The first passing cell under (smallest
@@ -260,10 +263,12 @@ def grid_search_shallow(train, sizes, epoch_counts, base_cfg: ShallowConfig = Sh
         run = ShallowRun.start(train, cfgs[0])
         unseen = [ex for ex in train.examples if ex.id not in run.subset_ids][:max_unseen]
         fits = [train_shallow(train, cfg, run=run) for cfg in cfgs]
-        # score only once the optimizer state is released, to keep peak memory down
+        # score only once the optimizer state is released, to keep peak memory
+        # down; the cells share the run's featurizer
         del run
+        X_unseen = fits[0][0].featurizer.matrix(unseen)
         for cfg, (model, subset_ids) in zip(cfgs, fits):
-            diag = validate_shallow(model, unseen, thresholds)
+            diag = validate_shallow(model, unseen, thresholds, X=X_unseen)
             rows.append({
                 "n_s": n_s, "e_s": cfg.epochs,
                 "unseen_acc": diag.unseen_accuracy,
@@ -273,6 +278,7 @@ def grid_search_shallow(train, sizes, epoch_counts, base_cfg: ShallowConfig = Sh
             })
             if diag.passed and best is None:
                 best, best_fit = cfg, (model, subset_ids)
+        del X_unseen  # nor hold it while the next size trains
     return best, rows, best_fit
 
 

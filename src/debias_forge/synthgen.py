@@ -48,6 +48,8 @@ class SynthConfig:
                 f"vocab_size {self.vocab_size} too small: needs 3*K bias/signal "
                 f"tokens plus at least one noise token"
             )
+        if self.vocab_size > 2**63:
+            raise ConfigError(f"vocab_size {self.vocab_size} too large: tokens must fit int64")
         if self.tokens_per_segment < 1:
             raise ConfigError("tokens_per_segment must be >= 1")
         if not 0.0 <= self.noise_token_rate <= 1.0:
@@ -104,36 +106,250 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def _make_segments(cfg: SynthConfig, rng: np.random.Generator, a_idx: int, b_idx: int):
-    """One clean example body: signal token at a random slot, noise fillers."""
+# Generation replays, on the raw words of each PCG64 stream, the Generator
+# calls of a per-example loop: integers(0, K) twice (a and b), then per segment
+# random(n) (which fillers to keep, n = tokens_per_segment - 1),
+# integers(lo, hi, size=n) (the fillers) and integers(0, kept + 1) (the signal
+# position), and on the anti-biased eval split integers(0, K - 1) (the wrong
+# code). numpy (2.x) makes a double of a word w as (w >> 11) * 2**-53. It draws
+# from a range of r <= 2**32 values by Lemire's method on 32-bit halves of
+# words, low half first, keeping an unused high half for the next call:
+# u * r >> 32, drawing again while the low 32 bits of u * r are below
+# (2**32 - r) % r. A wider range does the same on whole words, and a range of
+# one draws nothing. So where an example starts in the stream depends on the
+# values of the examples before it: _walk finds the starts one example after
+# another with integer arithmetic, and _Lanes then draws the values of many
+# examples at once, each from its own start.
+
+_BLOCK = 1024  # examples walked and drawn together
+_M32 = np.uint64(0xFFFFFFFF)
+_U32, _U11 = np.uint64(32), np.uint64(11)
+
+
+def _mulhi64(x, y):
+    """High 64 bits of the 128-bit products x * y of uint64 arrays."""
+    x0, x1 = x & _M32, x >> _U32
+    y0, y1 = y & _M32, y >> _U32
+    mid = (x0 * y0 >> _U32) + (x1 * y0 & _M32) + (x0 * y1 & _M32)
+    return x1 * y1 + (x1 * y0 >> _U32) + (x0 * y1 >> _U32) + (mid >> _U32)
+
+
+def _accepted(units, r: int, wide: bool):
+    """Whether a Lemire draw from a range of r accepts each unit: a whole
+    word if wide, else a 32-bit half."""
+    bits = 64 if wide else 32
+    low = units * np.uint64(r)
+    if not wide:
+        low &= _M32
+    return low >= np.uint64((2**bits - r) % r)
+
+
+class _Words:
+    """The raw words of one PCG64 stream, drawn as they are first needed;
+    word i of the stream is buf[i - base]."""
+
+    def __init__(self, bit_generator):
+        self.bit_generator = bit_generator
+        self.base = 0
+        self.buf = np.empty(0, np.uint64)
+
+    def upto(self, i: int):
+        """Draw the words before word i."""
+        short = i - self.base - len(self.buf)
+        if short > 0:
+            self.buf = np.concatenate([self.buf, self.bit_generator.random_raw(short)])
+
+    def take(self, index):
+        self.upto(int(index.max(initial=0)) + 1)
+        return self.buf[index - self.base]
+
+    def drop_before(self, i: int):
+        self.buf = self.buf[i - self.base:]
+        self.base = i
+
+
+def _walk(cfg: SynthConfig, words: _Words, point: tuple, count: int, anti: bool):
+    """The points where the next `count` examples start, the first at
+    `point`, and the point after the last. A point is (w, kept, kw): the
+    next fresh word, and whether the high half of word kw is kept for the
+    next 32-bit draw. Each Generator call takes the units its rule takes;
+    the fillers find their n-th accepted unit from a running count."""
+    K, n, rate = cfg.num_labels, cfg.tokens_per_segment - 1, cfg.noise_token_rate
     lo, hi = cfg.noise_range
+    R = hi - lo
+    wide = R > 1 << 32
+    starts, ahead = [], count * (4 * n + 8)
+    while len(starts) < count:
+        words.upto(point[0] + ahead)
+        b, buf = words.base, words.buf
+        x = memoryview(buf)
+        keeps = memoryview(np.append(0, np.cumsum((buf >> _U11) * 2.0 ** -53 < rate)))
+        units = buf if wide else np.stack([buf & _M32, buf >> _U32], axis=1).ravel()
+        acc = _accepted(units, R, wide)
+        accs, at = memoryview(np.append(0, np.cumsum(acc))), memoryview(np.flatnonzero(acc))
+
+        def draw(w, kept, kw, r, k):
+            """The point after k values from a range of r, one by one."""
+            if r == 1:
+                return w, kept, kw
+            if r > 1 << 32:
+                t = (2**64 - r) % r
+                while k:
+                    k -= x[w - b] * r % 2**64 >= t
+                    w += 1
+                return w, kept, kw
+            t = (2**32 - r) % r
+            while k:
+                if kept:
+                    u, kept = x[kw - b] >> 32, 0
+                else:
+                    u, kw, w, kept = x[w - b] & 0xFFFFFFFF, w, w + 1, 1
+                k -= u * r & 0xFFFFFFFF >= t
+            return w, kept, kw
+
+        def fill(w, kept, kw):
+            """The point after the n fillers."""
+            if R == 1 or n == 0:
+                return w, kept, kw
+            if wide:
+                return b + at[accs[w - b] + n - 1] + 1, kept, kw
+            k = n
+            if kept:  # the kept half comes first
+                h = 2 * (kw - b) + 1
+                k, kept = k - (accs[h + 1] - accs[h]), 0
+                if k == 0:
+                    return w, kept, kw
+            e = at[accs[2 * (w - b)] + k - 1] + 1  # the half after the last taken
+            return b + (e + 1) // 2, e & 1, b + (e + 1) // 2 - 1
+
+        w, kept, kw = point
+        try:  # an IndexError means the walk ran past the drawn words
+            while len(starts) < count:
+                w, kept, kw = draw(w, kept, kw, K, 2)
+                for _ in range(2):
+                    c = keeps[w - b + n] - keeps[w - b]
+                    w, kept, kw = fill(w + n, kept, kw)
+                    w, kept, kw = draw(w, kept, kw, c + 1, 1)
+                if anti:
+                    w, kept, kw = draw(w, kept, kw, K - 1, 1)
+                starts.append(point)
+                point = w, kept, kw
+        except IndexError:
+            ahead *= 2
+    return starts, point
+
+
+class _Lanes:
+    """Copies of one Generator at different points of its stream (see
+    _walk), drawn from together: each method returns, row per lane, what
+    the Generator call of its name returns at that lane's point."""
+
+    def __init__(self, words: _Words, w, kept, kw):
+        self.words, self.w, self.kept, self.kw = words, w, kept, kw
+
+    def random(self, n: int):
+        x = self.words.take(self.w[:, None] + np.arange(n))
+        self.w = self.w + n
+        return (x >> _U11) * 2.0 ** -53
+
+    def integers(self, r, n: int):
+        """integers(0, r, size=n); r is one range or a range per lane."""
+        r = np.broadcast_to(np.asarray(r, dtype=np.uint64), self.w.shape)[:, None]
+        if n == 0:
+            return np.zeros((self.w.size, 0), np.uint64)
+        wide = bool((r > np.uint64(1 << 32)).any())
+        need = np.where(r[:, 0] == 1, 0, n)
+        look = n
+        while True:  # look further until every lane has n accepted units
+            if wide:
+                x = self.words.take(self.w[:, None] + np.arange(look))
+                values, ok = _mulhi64(x, r), x * r >= (np.uint64(0) - r) % r
+            else:
+                f = np.arange(look) - self.kept[:, None]  # fresh half index, -1 the kept one
+                x = self.words.take(np.where(f < 0, self.kw[:, None], self.w[:, None] + f // 2))
+                m = np.where(f & 1, x >> _U32, x & _M32) * r
+                values, ok = m >> _U32, (m & _M32) >= (np.uint64(1 << 32) - r) % r
+            if (ok.sum(axis=1) >= need).all():
+                break
+            look *= 2
+        # each draw takes units up to the first it accepts
+        at = np.argsort(~ok, axis=1, kind="stable")[:, :n]
+        used = np.where(need > 0, at[:, -1] + 1, 0)
+        if wide:
+            self.w = self.w + used
+        else:
+            f = used - self.kept
+            moved = used > 0
+            self.w = self.w + np.where(moved, (f + 1) // 2, 0)
+            self.kw = np.where(moved, self.w - 1, self.kw)
+            self.kept = np.where(moved, f & 1, self.kept)
+        return np.where(need[:, None] > 0, np.take_along_axis(values, at, axis=1), 0)
+
+
+def _draw(cfg: SynthConfig, lanes: _Lanes, anti: bool):
+    """One example per lane, drawn in the per-example loop's order: (a and
+    b, per segment (keep mask, fillers, signal position), wrong code)."""
+    K, n = cfg.num_labels, cfg.tokens_per_segment - 1
+    lo, hi = cfg.noise_range
+    ab = lanes.integers(K, 2)  # two integers(0, K) calls
     segs = []
-    for sig_tok in (cfg.a_signal_token(a_idx), cfg.b_signal_token(b_idx)):
-        n_fill = cfg.tokens_per_segment - 1
-        keep = rng.random(n_fill) < cfg.noise_token_rate if n_fill else np.zeros(0, bool)
-        fill = rng.integers(lo, hi, size=n_fill)
-        toks = list(fill[keep])
-        pos = int(rng.integers(0, len(toks) + 1))
-        toks.insert(pos, sig_tok)
-        segs.append(tuple(int(t) for t in toks))
-    return segs[0], segs[1]
+    for _ in range(2):
+        keep = lanes.random(n) < cfg.noise_token_rate
+        fill = lanes.integers(hi - lo, n)
+        segs.append((keep, fill, lanes.integers(keep.sum(axis=1) + 1, 1)[:, 0]))
+    wrong = lanes.integers(K - 1, 1)[:, 0] if anti else None
+    return ab, segs, wrong
+
+
+def _examples(cfg: SynthConfig, draws, first_id: int, split: str) -> list:
+    """The examples of the draws of _draw, ids from first_id on."""
+    ab, segs, wrong = draws
+    K, lo = cfg.num_labels, cfg.noise_range[0]
+    a, b = ab[:, 0].astype(np.int64), ab[:, 1].astype(np.int64)
+    labels = (a + b) % K
+    j = np.arange(cfg.tokens_per_segment)
+    tokens = []
+    for (keep, fill, pos), sig in zip(segs, (K + a, 2 * K + b)):
+        fill, pos = fill.astype(np.int64) + lo, pos.astype(np.int64)[:, None]
+        # the kept fillers in order, the signal token inserted at pos
+        fillers = np.take_along_axis(fill, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+        fillers = np.pad(fillers, ((0, 0), (0, 1)))
+        toks = np.where(j == pos, sig[:, None], np.take_along_axis(fillers, j - (j > pos), axis=1))
+        lengths = keep.sum(axis=1) + 1
+        tokens.append([tuple(line[:c]) for line, c in zip(toks.tolist(), lengths.tolist())])
+    ids, label_list = range(first_id, first_id + len(labels)), labels.tolist()
+    if split == "anti_biased":
+        wrong = wrong.astype(np.int64)
+        codes = (wrong + (wrong >= labels)).tolist()
+    elif split == "biased":
+        codes = label_list
+    else:
+        return list(map(Example, ids, *tokens, label_list))
+    seg_b = [(code,) + seg for code, seg in zip(codes, tokens[1])]
+    return list(map(Example, ids, tokens[0], seg_b, label_list, [split] * len(codes), codes))
+
+
+def _draw_examples(cfg: SynthConfig, stream: str, count: int, split: str) -> list:
+    """`count` examples of `split` from substream (cfg.seed, stream), as the
+    per-example loop draws them, _BLOCK at a time: walk to each example's
+    start, then draw them all from their starts."""
+    anti = split == "anti_biased"
+    words = _Words(substream(cfg.seed, stream).bit_generator)
+    point, examples = (0, 0, 0), []
+    while len(examples) < count:
+        starts, point = _walk(cfg, words, point, min(_BLOCK, count - len(examples)), anti)
+        lanes = _Lanes(words, *(np.array(x, dtype=np.int64) for x in zip(*starts)))
+        examples += _examples(cfg, _draw(cfg, lanes, anti), len(examples), split)
+        words.drop_before(point[2] if point[1] else point[0])
+    return examples
 
 
 def gen_dataset(config: SynthConfig) -> Dataset:
     """Generate train_size clean examples; deterministic given config.seed."""
     config.validate()
-    rng = substream(config.seed, "gen")
-    K = config.num_labels
-    examples = []
-    for i in range(config.train_size):
-        a_idx = int(rng.integers(0, K))
-        b_idx = int(rng.integers(0, K))
-        label = (a_idx + b_idx) % K
-        seg_a, seg_b = _make_segments(config, rng, a_idx, b_idx)
-        examples.append(Example(id=i, segment_a=seg_a, segment_b=seg_b, label=label))
     return Dataset(
-        examples=examples,
-        num_labels=K,
+        examples=_draw_examples(config, "gen", config.train_size, "train"),
+        num_labels=config.num_labels,
         vocab_size=config.vocab_size,
         provenance={"config": asdict(config), "split": "train"},
     )
@@ -187,31 +403,15 @@ def inject_bias(dataset: Dataset, m: float, rho: float, seed: int) -> Dataset:
 def make_eval_suite(config: SynthConfig) -> dict:
     """Three test sets: original (no bias tokens), fully biased, fully anti-biased."""
     config.validate()
-    K = config.num_labels
-    suite = {}
-    for split in ("original", "biased", "anti_biased"):
-        rng = substream(config.seed, f"eval_{split}")
-        examples = []
-        for i in range(config.test_size):
-            a_idx = int(rng.integers(0, K))
-            b_idx = int(rng.integers(0, K))
-            label = (a_idx + b_idx) % K
-            seg_a, seg_b = _make_segments(config, rng, a_idx, b_idx)
-            ex = Example(id=i, segment_a=seg_a, segment_b=seg_b, label=label)
-            if split == "biased":
-                ex = _with_bias_token(ex, label, "biased")
-            elif split == "anti_biased":
-                wrong = int(rng.integers(0, K - 1))
-                code = wrong if wrong < label else wrong + 1
-                ex = _with_bias_token(ex, code, "anti_biased")
-            examples.append(ex)
-        suite[split] = Dataset(
-            examples,
-            K,
+    return {
+        split: Dataset(
+            _draw_examples(config, f"eval_{split}", config.test_size, split),
+            config.num_labels,
             config.vocab_size,
             provenance={"config": asdict(config), "split": f"eval_{split}"},
         )
-    return suite
+        for split in ("original", "biased", "anti_biased")
+    }
 
 
 def bias_oracle_predict(example: Example):
@@ -259,9 +459,13 @@ def load_dataset(path) -> Dataset:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: bad header line: {e}") from e
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: header must be a JSON object")
     for key in ("num_labels", "vocab_size"):
         if key not in header:
             raise DataError(f"{path}: header missing '{key}'")
+        if type(header[key]) is not int:
+            raise DataError(f"{path}: header '{key}' must be an integer, got {header[key]!r}")
     vocab = header["vocab_size"]
     examples = []
     for lineno, line in enumerate(lines[1:], start=2):

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from debias_forge.cli import (
-    _pieces_per_seed, config_digest, main, parse_config_file, resolve_config,
+    _pieces_per_seed, config_digest, main, parse_config_file, resolve_config, worker_count,
 )
 from debias_forge.errors import ConfigError
 from debias_forge.synthgen import load_dataset
@@ -148,6 +148,7 @@ def test_generate_bad_config_exits_2(tmp_path):
     assert not (out / "train.jsonl").exists()
     # values of the wrong type, from --set and from the file
     for bad in ("data.train_size=abc", "train.epochs=two", "shallow.acc_band=a,b",
+                "data.vocab_size=9223372036854775809",
                 "shallow.acc_band=0.5", "shallow.acc_band=orcale"):
         assert _run("generate", "--set", bad, "--out-dir", str(out), "--quiet") == 2
     conf.write_text("report.seeds = 1, x\n")
@@ -327,6 +328,23 @@ def test_report_missing_inputs_exit_2(tmp_path):
                 "--out-dir", str(tmp_path), "--quiet") == 2
     assert _run("report", "--kind", "compare",
                 "--out-dir", str(tmp_path), "--quiet") == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(tmp_path, jobs):
+    out = tmp_path / "out"
+    assert _run("report", "--kind", "proportion", "--jobs", jobs,
+                "--out-dir", str(out), "--quiet") == 2
+    assert not out.exists()
+
+
+def test_worker_count_is_at_most_one_per_cpu(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert [worker_count(j) for j in (1, 2, 3, 64)] == [1, 2, 2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(8) == 1
+    with pytest.raises(ConfigError):
+        worker_count(0)
 
 
 @pytest.mark.parametrize("seeds,values,jobs,pieces", [

@@ -112,6 +112,21 @@ def test_grid_search_prefers_smaller_cells(tiny_train):
     assert all(r["pass"] for r in rows)
 
 
+def test_grid_search_featurizes_each_sizes_unseen_once(tiny_train, monkeypatch):
+    featurized = []
+    matrix = Featurizer.matrix
+
+    def counting(self, examples):
+        featurized.append(len(examples))
+        return matrix(self, examples)
+
+    monkeypatch.setattr(Featurizer, "matrix", counting)
+    wide = ShallowThresholds(acc_band=(0.0, 1.0), high_conf_min=0.0, degenerate_margin=0.0)
+    grid_search_shallow(tiny_train, [400, 200], [2, 1], base_cfg=FAST, thresholds=wide)
+    # per size: its subset, then its unseen examples once for both its cells
+    assert featurized == [200, 600, 400, 400]
+
+
 def test_grid_search_no_pass_returns_none(tiny_train):
     narrow = ShallowThresholds(acc_band=(0.999, 1.0))
     best, rows, best_fit = grid_search_shallow(tiny_train, [200], [1],

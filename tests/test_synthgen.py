@@ -1,14 +1,16 @@
 import collections
+import itertools
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from debias_forge.errors import ConfigError, DataError
+from debias_forge.rng import substream
 from debias_forge.synthgen import (
-    SynthConfig, bias_oracle_predict, gen_dataset, inject_bias, load_dataset,
-    make_eval_suite, save_dataset,
+    Dataset, Example, SynthConfig, bias_oracle_predict, gen_dataset, inject_bias,
+    load_dataset, make_eval_suite, save_dataset,
 )
 
 
@@ -19,6 +21,8 @@ def test_config_validation_rejects_bad_values():
         SynthConfig(train_size=0).validate()
     with pytest.raises(ConfigError):
         SynthConfig(num_labels=3, vocab_size=9).validate()
+    with pytest.raises(ConfigError, match="too large"):
+        SynthConfig(vocab_size=2**63 + 1).validate()
     with pytest.raises(ConfigError):
         SynthConfig(bias_proportion=1.5).validate()
     with pytest.raises(ConfigError):
@@ -154,6 +158,13 @@ def test_load_rejects_bad_files(tmp_path):
     noid.write_text(header + "\n" + rec + "\n")
     with pytest.raises(DataError, match="noid.jsonl:2"):
         load_dataset(noid)
+    for bad_header in ({"num_labels": "3", "vocab_size": 60},
+                       {"num_labels": 3, "vocab_size": "1000"},
+                       {"num_labels": True, "vocab_size": 60}, [3, 60]):
+        badhead = tmp_path / "badhead.jsonl"
+        badhead.write_text(json.dumps(bad_header) + "\n" + rec + "\n")
+        with pytest.raises(DataError, match="header"):
+            load_dataset(badhead)
     for tok, label in ((-1, 0), (60, 0), (2.5, 0), ("3", 0), (3, 3), (3, -1)):
         badtok = tmp_path / "badtok.jsonl"
         rec = json.dumps({"id": 0, "segment_a": [1], "segment_b": [2, tok], "label": label,
@@ -168,3 +179,89 @@ def test_digest_stable():
     c2 = SynthConfig(seed=4)
     assert c1.digest() == c2.digest()
     assert c1.digest() != SynthConfig(seed=5).digest()
+
+
+# -- bulk generation against the per-example loop it replays -----------------
+
+def _reference_examples(cfg, stream, count, split):
+    """The per-example loop of Generator calls whose draws gen_dataset and
+    make_eval_suite replay in bulk."""
+    rng = substream(cfg.seed, stream)
+    K, n = cfg.num_labels, cfg.tokens_per_segment - 1
+    lo, hi = cfg.noise_range
+    examples = []
+    for i in range(count):
+        a_idx = int(rng.integers(0, K))
+        b_idx = int(rng.integers(0, K))
+        label = (a_idx + b_idx) % K
+        segs = []
+        for sig in (cfg.a_signal_token(a_idx), cfg.b_signal_token(b_idx)):
+            keep = rng.random(n) < cfg.noise_token_rate if n else np.zeros(0, bool)
+            fill = rng.integers(lo, hi, size=n)
+            toks = list(fill[keep])
+            toks.insert(int(rng.integers(0, len(toks) + 1)), sig)
+            segs.append(tuple(int(t) for t in toks))
+        if split in ("train", "original"):
+            examples.append(Example(i, segs[0], segs[1], label))
+            continue
+        code = label
+        if split == "anti_biased":
+            wrong = int(rng.integers(0, K - 1))
+            code = wrong if wrong < label else wrong + 1
+        examples.append(Example(i, segs[0], (code,) + segs[1], label, split, code))
+    return examples
+
+
+def _reference_sets(cfg):
+    sets = {"train": Dataset(_reference_examples(cfg, "gen", cfg.train_size, "train"),
+                             cfg.num_labels, cfg.vocab_size,
+                             {"config": asdict(cfg), "split": "train"})}
+    for split in ("original", "biased", "anti_biased"):
+        sets[split] = Dataset(
+            _reference_examples(cfg, f"eval_{split}", cfg.test_size, split),
+            cfg.num_labels, cfg.vocab_size, {"config": asdict(cfg), "split": f"eval_{split}"})
+    return sets
+
+
+SMALL = SynthConfig(train_size=150, test_size=60)
+# rate 0.6 drops every filler of some segments, whose position then draws
+# nothing; rate 0.0 drops them all. One token per segment has no fillers, two
+# an odd count, seven and eight an even one; K=2 has one wrong code, which
+# draws nothing. The seeds cycle through the grid.
+BULK_GRID = [
+    replace(SMALL, noise_token_rate=rate, tokens_per_segment=T, num_labels=K, seed=seed)
+    for (rate, T, K), seed in zip(itertools.product((1.0, 0.6, 0.0), (1, 2, 7, 8), (2, 3, 5)),
+                                  itertools.cycle((0, 1, 2, 7)))
+] + [
+    # a quarter of the noise draws rejected (range 3 * 2**30 - 9)
+    replace(SMALL, vocab_size=3 * 2**30, seed=4),
+    replace(SMALL, vocab_size=3 * 2**30, noise_token_rate=0.6, tokens_per_segment=2, seed=5),
+    # a noise range of exactly 2**32, and ranges drawn from whole words (with
+    # a kept half that outlives whole words when both positions draw nothing)
+    replace(SMALL, vocab_size=2**32 + 9, noise_token_rate=0.6, seed=6),
+    replace(SMALL, vocab_size=3 * 2**61, noise_token_rate=0.6, tokens_per_segment=2, seed=8),
+    replace(SMALL, vocab_size=3 * 2**61, seed=9),
+    replace(SMALL, vocab_size=2**63, seed=12),  # the largest: tokens up to 2**63 - 1
+    # more words per example than the walk first draws (a quarter of 30
+    # whole-word fillers rejected)
+    replace(SMALL, vocab_size=3 * 2**61, tokens_per_segment=16, seed=11),
+    # more examples than one block; rate 0.6 and seed 1 first drop every
+    # filler of a segment at example 537 (ids from 0), after which a replay
+    # that always draws the position goes wrong
+    replace(SMALL, train_size=2500, test_size=1100, seed=3),
+    replace(SMALL, train_size=1500, noise_token_rate=0.6, tokens_per_segment=2, seed=10),
+    replace(SMALL, train_size=700, noise_token_rate=0.6, seed=1),
+]
+
+
+@pytest.mark.parametrize("cfg", BULK_GRID, ids=lambda c: (
+    f"K{c.num_labels}-T{c.tokens_per_segment}-rate{c.noise_token_rate}-V{c.vocab_size}"
+    f"-N{c.train_size}-seed{c.seed}"))
+def test_bulk_generation_equals_per_example_loop(cfg, tmp_path):
+    want = _reference_sets(cfg)
+    got = {"train": gen_dataset(cfg), **make_eval_suite(cfg)}
+    for split, ds in got.items():
+        assert ds.examples == want[split].examples, split
+        save_dataset(ds, tmp_path / "got.jsonl")
+        save_dataset(want[split], tmp_path / "want.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
