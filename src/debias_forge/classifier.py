@@ -1,5 +1,6 @@
 """Small feed-forward classifier: hashing featurizer, forward pass, analytic
-gradients with a finite-difference check, and SGD/Adam updates.
+gradients with a finite-difference check, SGD/Adam updates, and the
+resumable minibatch loop that trains both the shallow and the main model.
 
 Feature space layout for dimension D over vocabulary V (requires D > 2V):
     [0, V)      bag of tokens in segment_a
@@ -21,7 +22,8 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError, NumericError, SchemaError
+from .errors import ConfigError, DataError, NumericError, SchemaError, open_text
+from .rng import substream
 
 LOG_EPS = 1e-12
 # rows featurized per numpy block in Featurizer.matrix
@@ -332,6 +334,44 @@ def opt_step(params: ModelParams, grads: Gradients, state: OptState):
     return params, state
 
 
+class MinibatchRun:
+    """A resumable minibatch training run over the rows of X: params from
+    init_params on substream(seed, "init"), an OptState, the
+    substream(seed, "shuffle") stream that orders each epoch, and the epochs
+    trained. Continued from e1 to e2 epochs, it equals a fresh e2-epoch run
+    bit for bit. cfg is a TrainConfig or a ShallowConfig."""
+
+    def __init__(self, X, num_labels: int, cfg):
+        self.X, self.batch_size = X, cfg.batch_size
+        self.params = init_params(X.shape[1], cfg.hidden, num_labels, substream(cfg.seed, "init"))
+        self.state = OptState(learning_rate=cfg.learning_rate, mode=cfg.optimizer,
+                              beta2=cfg.adam_beta2)
+        self.shuffle_rng = substream(cfg.seed, "shuffle")
+        self.epochs = 0
+
+    def batches(self, epochs: int):
+        """Row indices of each minibatch from the current epoch count up to
+        `epochs`; the caller takes one step() on each."""
+        if self.epochs:
+            # opt_step updates in place: go on with a copy, so that every
+            # model taken from this run before keeps its own params
+            self.params = self.params.copy()
+        n = self.X.shape[0]
+        while self.epochs < epochs:
+            order = self.shuffle_rng.permutation(n)
+            for start in range(0, n, self.batch_size):
+                yield order[start:start + self.batch_size]
+            self.epochs += 1
+
+    def step(self, idx, targets, weights, logit_offset=None):
+        """One optimizer step on rows idx; returns (per-example losses, gradients)."""
+        losses, grads = loss_and_grad(self.params, self.X[idx], targets, weights, logit_offset)
+        if not np.all(np.isfinite(losses)):
+            raise NumericError(f"non-finite loss at step {self.state.step}")
+        self.params, self.state = opt_step(self.params, grads, self.state)
+        return losses, grads
+
+
 # ---------------------------------------------------------------------------
 # model wrapper and checkpoint I/O
 
@@ -374,7 +414,7 @@ def save_checkpoint(model: Model, path, step: int = 0, config_digest: str = ""):
 
 def load_checkpoint(path) -> Model:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: parse error at offset {e.pos}: {e.msg}") from e

@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict, replace
 from . import __version__
 from .classifier import load_checkpoint, save_checkpoint
 from .errors import (
-    ConfigError, DataError, DegenerateShallowError, NumericError, SchemaError,
+    ConfigError, DataError, DegenerateShallowError, NumericError, SchemaError, open_text,
 )
 from .evaluation import (
     accuracy, confidence_histogram, proportion_rows, proportion_seed, sweep_report,
@@ -115,7 +115,7 @@ def _parse_value(key: str, text: str):
 def parse_config_file(path) -> dict:
     """Line-oriented `key = value` pairs; '#' starts a comment."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -564,7 +564,7 @@ def cmd_report(args) -> int:
         per_seed = _fan_out_seeds(
             sweep_seed, a_values, (method, synth_config(cfg), train_config(cfg), shallow_config(cfg)),
             _as_list(cfg["report.seeds"]), args.jobs)
-        points = sweep_report(a_values, per_seed).points
+        points = sweep_report(a_values, per_seed)
         fields = ["value", "original_mean", "original_std",
                   "anti_biased_mean", "anti_biased_std", "seeds"]
         emit("sweep", fields, points, {"method": method, "points": len(points)})

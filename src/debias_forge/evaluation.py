@@ -2,7 +2,7 @@
 partitioning, the bias-proportion study, and the annealing sweep.
 """
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -56,11 +56,8 @@ def confidence_histogram(model, split, bin_width: float = 0.05) -> ConfidenceHis
 
     # right-closed last bin so confidence exactly 1.0 lands in it
     idx = np.clip(np.searchsorted(edges, maxp, side="right") - 1, 0, len(edges) - 2)
-    counts = np.zeros(len(edges) - 1, dtype=int)
-    correct = np.zeros(len(edges) - 1, dtype=int)
-    for b, ok in zip(idx, pred == gold):
-        counts[b] += 1
-        correct[b] += int(ok)
+    counts = np.bincount(idx, minlength=len(edges) - 1)
+    correct = np.bincount(idx[pred == gold], minlength=len(edges) - 1)
     frac = [float(c) / n if n else 0.0 for c, n in zip(correct, counts)]
     return ConfidenceHistogram(edges.tolist(), counts.tolist(), correct.tolist(), frac)
 
@@ -72,12 +69,6 @@ def easy_hard_partition(split, oracle=bias_oracle_predict):
     for ex in split.examples:
         (easy if oracle(ex) == ex.label else hard).append(ex.id)
     return easy, hard
-
-
-@dataclass
-class SweepReport:
-    parameter: str
-    points: list = field(default_factory=list)  # rows with value/means/spread/seeds
 
 
 def _seed_summary(per_seed, splits) -> list:
@@ -190,9 +181,9 @@ def sweep_seed(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainCo
     return out
 
 
-def sweep_report(a_values, per_seed) -> SweepReport:
-    """The anneal sweep from sweep_seed results, in seed order."""
+def sweep_report(a_values, per_seed) -> list:
+    """Rows of the anneal sweep over the minimum alpha from sweep_seed
+    results, in seed order."""
     summary = _seed_summary(per_seed, ("original", "anti_biased"))
-    return SweepReport(parameter="anneal_minimum", points=[
-        {"value": a, **row, "seeds": len(per_seed)} for a, row in zip(a_values, summary)])
+    return [{"value": a, **row, "seeds": len(per_seed)} for a, row in zip(a_values, summary)]
 

@@ -9,10 +9,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifier import (
-    Featurizer, Model, ModelParams, OptState, forward, init_params, loss_and_grad, opt_step,
-)
-from .errors import ConfigError, DataError
+from .classifier import Featurizer, MinibatchRun, Model, forward
+from .errors import ConfigError, DataError, open_text
 from .rng import substream
 from .synthgen import bias_oracle_predict
 
@@ -111,39 +109,25 @@ class BiasWeights:
 @dataclass
 class ShallowRun:
     """A shallow training run that can be continued to more epochs: the
-    featurized subset, params, optimizer state and shuffle stream after
-    `epochs` epochs of training under `cfg` (whose own epochs are ignored)."""
+    subset ids, featurizer and one-hot targets around the MinibatchRun that
+    trains the subset under `cfg` (whose own epochs are ignored)."""
     cfg: ShallowConfig
     featurizer: Featurizer
-    X: object  # CSR matrix of the subset
     onehot: np.ndarray
     subset_ids: set
-    params: ModelParams
-    state: OptState
-    shuffle_rng: np.random.Generator
-    epochs: int = 0
+    loop: MinibatchRun
 
     @classmethod
     def start(cls, train, cfg: ShallowConfig):
         """Pick the seeded subset, featurize it and initialize; no epochs yet."""
         cfg.validate(train_size=len(train))
-        K = train.num_labels
-        sub_rng = substream(cfg.seed, "subsample")
-        pick = sub_rng.permutation(len(train))[:cfg.sample_size]
+        pick = substream(cfg.seed, "subsample").permutation(len(train))[:cfg.sample_size]
         subset = [train.examples[int(i)] for i in sorted(pick)]
-
         featurizer = Featurizer(vocab_size=train.vocab_size, dim=cfg.feature_dim)
-        X = featurizer.matrix(subset)
-        y = np.array([ex.label for ex in subset], dtype=np.int64)
-        onehot = np.zeros((len(subset), K))
-        onehot[np.arange(len(subset)), y] = 1.0
-
-        params = init_params(cfg.feature_dim, cfg.hidden, K, substream(cfg.seed, "init"))
-        state = OptState(learning_rate=cfg.learning_rate, mode=cfg.optimizer,
-                         beta2=cfg.adam_beta2)
-        return cls(cfg=cfg, featurizer=featurizer, X=X, onehot=onehot,
-                   subset_ids=set(ex.id for ex in subset), params=params, state=state,
-                   shuffle_rng=substream(cfg.seed, "shuffle"))
+        onehot = np.eye(train.num_labels)[[ex.label for ex in subset]]
+        return cls(cfg=cfg, featurizer=featurizer, onehot=onehot,
+                   subset_ids=set(ex.id for ex in subset),
+                   loop=MinibatchRun(featurizer.matrix(subset), train.num_labels, cfg))
 
 
 def train_shallow(train, cfg: ShallowConfig, run: ShallowRun = None):
@@ -158,27 +142,16 @@ def train_shallow(train, cfg: ShallowConfig, run: ShallowRun = None):
     cfg.validate(train_size=len(train))
     if run is None:
         run = ShallowRun.start(train, cfg)
-    else:
-        if replace(run.cfg, epochs=cfg.epochs) != cfg:
-            raise ConfigError(f"cannot continue a shallow run started with {run.cfg} "
-                              f"under {cfg}: only epochs may differ")
-        if run.epochs > cfg.epochs:
-            raise ConfigError(f"shallow run is already at {run.epochs} epochs, "
-                              f"past the requested {cfg.epochs}")
-        # opt_step updates in place: train a copy, so that every model this
-        # run returned before keeps its own params
-        run.params = run.params.copy()
-    n = run.onehot.shape[0]
-    for _epoch in range(run.epochs, cfg.epochs):
-        order = run.shuffle_rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            _, grads = loss_and_grad(run.params, run.X[idx], run.onehot[idx],
-                                     np.ones(idx.size))
-            run.params, run.state = opt_step(run.params, grads, run.state)
-    run.epochs = cfg.epochs
+    elif replace(run.cfg, epochs=cfg.epochs) != cfg:
+        raise ConfigError(f"cannot continue a shallow run started with {run.cfg} "
+                          f"under {cfg}: only epochs may differ")
+    elif run.loop.epochs > cfg.epochs:
+        raise ConfigError(f"shallow run is already at {run.loop.epochs} epochs, "
+                          f"past the requested {cfg.epochs}")
+    for idx in run.loop.batches(cfg.epochs):
+        run.loop.step(idx, run.onehot[idx], np.ones(idx.size))
 
-    model = Model(params=run.params, featurizer=run.featurizer, num_labels=train.num_labels,
+    model = Model(params=run.loop.params, featurizer=run.featurizer, num_labels=train.num_labels,
                   meta={"role": "shallow", "seed": cfg.seed,
                         "subset_ids": sorted(run.subset_ids)})
     return model, run.subset_ids
@@ -326,7 +299,7 @@ def load_bias_weights(path, num_labels: int) -> BiasWeights:
     num_labels probabilities in [0, 1] summing to 1, a p_b_correct in [0, 1]
     and a predicted label in [0, num_labels)."""
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_text
 from .rng import substream
 
 BIAS_TAGS = ("clean", "biased", "anti_biased")
@@ -451,7 +451,7 @@ def save_dataset(dataset: Dataset, path):
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DataError(f"{path}: empty dataset file")
@@ -467,7 +467,7 @@ def load_dataset(path) -> Dataset:
         if type(header[key]) is not int:
             raise DataError(f"{path}: header '{key}' must be an integer, got {header[key]!r}")
     vocab = header["vocab_size"]
-    examples = []
+    examples, ids = [], set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -495,5 +495,15 @@ def load_dataset(path) -> Dataset:
             if seg and not (set(map(type, seg)) == {int} and 0 <= min(seg) and max(seg) < vocab):
                 raise DataError(f"{path}:{lineno}: tokens must be integers in "
                                 f"[0, {vocab}), got {list(seg)}")
+        if type(ex.id) is not int or ex.id in ids:
+            raise DataError(f"{path}:{lineno}: id must be an integer not seen before, "
+                            f"got {ex.id!r}")
+        ids.add(ex.id)
+        token = ex.bias_token
+        if (ex.bias_tag == "clean") != (token is None):
+            raise DataError(f"{path}:{lineno}: bias_tag {ex.bias_tag!r} disagrees with "
+                            f"bias_token {token!r}")
+        if token is not None and not (type(token) is int and 0 <= token < vocab):
+            raise DataError(f"{path}:{lineno}: bias_token {token!r} outside [0, {vocab})")
         examples.append(ex)
     return Dataset(examples, header["num_labels"], header["vocab_size"], header.get("provenance", {}))

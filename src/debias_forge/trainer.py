@@ -1,5 +1,6 @@
-"""Training orchestration: baseline/debiased step loop, per-step annealing,
-teacher training for confidence regularization, and batch-loss telemetry.
+"""Main-model training: per-step debiasing targets and annealing on the
+shared minibatch loop, teacher training for confidence regularization, and
+batch-loss telemetry.
 """
 
 import json
@@ -9,13 +10,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import objectives
-from .classifier import (
-    Featurizer, Model, OptState, forward, init_params, loss_and_grad, opt_step,
-)
-from .errors import ConfigError, DataError, NumericError
+from .classifier import Featurizer, MinibatchRun, Model, forward
+from .errors import ConfigError, DataError, open_text
 from .objectives import AnnealSchedule, anneal_alpha
-from .rng import substream
-from .shallow import BiasWeights
 
 PERCENTILE_LEVELS = (0, 25, 50, 75, 100)
 
@@ -62,14 +59,6 @@ def loss_percentiles(batch_losses):
     return tuple(out)
 
 
-def _eval_accuracies(params, featurizer, eval_matrices):
-    accs = {}
-    for split, (X, y) in eval_matrices.items():
-        p = forward(params, X)
-        accs[split] = float(np.mean(np.argmax(p, axis=1) == y))
-    return accs
-
-
 def train_main(train, weights, cfg: TrainConfig, eval_suite=None, teacher=None):
     """Run one training; returns (Model, metrics list of dicts).
 
@@ -102,65 +91,42 @@ def train_main(train, weights, cfg: TrainConfig, eval_suite=None, teacher=None):
             raise ConfigError("method 'conf_reg' requires a trained teacher")
         p_t = forward(teacher.params, X)  # frozen, precomputed once
 
-    eval_matrices = {}
-    if eval_suite:
-        for split, ds in eval_suite.items():
-            eval_matrices[split] = (featurizer.matrix(ds.examples), ds.labels())
+    eval_matrices = {split: (featurizer.matrix(ds.examples), ds.labels())
+                     for split, ds in (eval_suite or {}).items()}
 
-    init_rng = substream(cfg.seed, "init")
-    params = init_params(cfg.feature_dim, cfg.hidden, K, init_rng)
-    state = OptState(learning_rate=cfg.learning_rate, mode=cfg.optimizer,
-                     beta2=cfg.adam_beta2)
-    shuffle_rng = substream(cfg.seed, "shuffle")
-
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
+    run = MinibatchRun(X, K, cfg)
+    total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
     sched = cfg.anneal
     if sched.enabled and sched.total_steps != total_steps:
         sched = AnnealSchedule(minimum=sched.minimum, total_steps=total_steps, enabled=True)
 
     metrics = []
-    step = 0
-    for _epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            alpha = anneal_alpha(step, sched)
-            targets, w, offset = objectives.build_targets(
-                cfg.method, y[idx], K,
-                p_b=None if p_b is None else p_b[idx],
-                p_t=None if p_t is None else p_t[idx],
-                alpha=alpha,
-            )
-            losses, grads = loss_and_grad(params, X[idx], targets, w, offset)
-            if not np.all(np.isfinite(losses)):
-                raise NumericError(f"non-finite loss at step {step}")
-            params, state = opt_step(params, grads, state)
-            step += 1
+    for idx in run.batches(cfg.epochs):
+        alpha = anneal_alpha(run.state.step, sched)
+        targets, w, offset = objectives.build_targets(
+            cfg.method, y[idx], K,
+            p_b=None if p_b is None else p_b[idx],
+            p_t=None if p_t is None else p_t[idx],
+            alpha=alpha,
+        )
+        losses, grads = run.step(idx, targets, w, offset)
+        step = run.state.step
 
-            p0, p25, p50, p75, p100 = loss_percentiles(losses)
-            rec = {
-                "step": step,
-                "mean_loss": float(losses.mean()),
-                "p0": p0, "p25": p25, "p50": p50, "p75": p75, "p100": p100,
-                "alpha": alpha,
-                "clamped": grads.clamped,
-            }
-            if eval_matrices and (step % cfg.eval_every == 0 or step == total_steps):
-                rec.update(
-                    {f"acc_{s}": a for s, a in _eval_accuracies(params, featurizer, eval_matrices).items()}
-                )
-            metrics.append(rec)
+        rec = {"step": step, "mean_loss": float(losses.mean()),
+               "alpha": alpha, "clamped": grads.clamped}
+        rec.update(zip((f"p{p}" for p in PERCENTILE_LEVELS), loss_percentiles(losses)))
+        if eval_matrices and (step % cfg.eval_every == 0 or step == total_steps):
+            for split, (X_eval, y_eval) in eval_matrices.items():
+                pred = np.argmax(forward(run.params, X_eval), axis=1)
+                rec[f"acc_{split}"] = float(np.mean(pred == y_eval))
+        metrics.append(rec)
 
-    model = Model(params=params, featurizer=featurizer, num_labels=K,
-                  meta={"method": cfg.method, "seed": cfg.seed})
-    return model, metrics
+    return Model(params=run.params, featurizer=featurizer, num_labels=K,
+                 meta={"method": cfg.method, "seed": cfg.seed}), metrics
 
 
 def train_teacher(train, cfg: TrainConfig):
     """Standard cross-entropy training on the main-training set; frozen after."""
-    if cfg.epochs < 1:
-        raise ConfigError("epochs must be >= 1")
     base = replace(cfg, method="baseline_ce", anneal=AnnealSchedule())
     model, _ = train_main(train, None, base)
     return model
@@ -174,7 +140,7 @@ def write_metrics(metrics, path):
 
 def read_metrics(path):
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

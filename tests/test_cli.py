@@ -157,6 +157,26 @@ def test_generate_bad_config_exits_2(tmp_path):
     assert not (out / "train.jsonl").exists()
 
 
+@pytest.mark.parametrize("kind", ["dataset", "weights", "checkpoint", "metrics", "config"])
+def test_non_utf8_input_exits_with_its_code(conf, tmp_path, caplog, kind):
+    out = tmp_path / "o"
+    assert _run("generate", "--config", conf, "--out-dir", str(out), "--seed", "5",
+                "--quiet") == 0
+    train, bad = str(out / "train.jsonl"), tmp_path / "bad"
+    bad.write_bytes(b'{"num_labels": 3}\xff\n')
+    args = {
+        "dataset": ["shallow", "--config", conf, "--data", str(bad)],
+        "weights": ["train", "--config", conf, "--set", "train.method=poe",
+                    "--data", train, "--weights", str(bad)],
+        "checkpoint": ["identify", "--config", conf, "--checkpoint", str(bad), "--data", train],
+        "metrics": ["report", "--kind", "trajectory", "--config", conf, "--metrics", str(bad)],
+        "config": ["generate", "--config", str(bad)],
+    }[kind]
+    assert _run(*args, "--out-dir", str(tmp_path / "x"), "--quiet") == (
+        2 if kind == "config" else 3)
+    assert "not UTF-8" in caplog.text
+
+
 def test_resolve_config_value_types():
     ok = {"data.train_size": 10, "data.noise_token_rate": 1, "anneal.a": 0.5,
           "anneal.enabled": True, "report.seeds": 4, "report.m_values": [0.5, 1],

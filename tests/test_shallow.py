@@ -200,7 +200,7 @@ def test_continued_run_equals_fresh_run(tiny_train):
     run = ShallowRun.start(tiny_train, cfg1)
     short, ids1 = train_shallow(tiny_train, cfg1, run=run)
     long, ids3 = train_shallow(tiny_train, cfg3, run=run)
-    assert run.epochs == 3
+    assert run.loop.epochs == 3
     for cfg, model, ids in ((cfg1, short, ids1), (cfg3, long, ids3)):
         fresh, fresh_ids = train_shallow(tiny_train, cfg)
         assert ids == fresh_ids
@@ -214,11 +214,11 @@ def test_continuing_a_foreign_or_later_run_raises(tiny_train):
     for other in (replace(FAST, sample_size=100), replace(FAST, seed=4)):
         with pytest.raises(ConfigError, match="only epochs may differ"):
             train_shallow(tiny_train, other, run=run)
-    assert run.epochs == 0
+    assert run.loop.epochs == 0
     train_shallow(tiny_train, replace(FAST, epochs=3), run=run)
     with pytest.raises(ConfigError, match="past the requested 2"):
         train_shallow(tiny_train, replace(FAST, epochs=2), run=run)
-    assert run.epochs == 3
+    assert run.loop.epochs == 3
 
 
 def test_stability_study_shapes(tiny_train, tiny_suite):

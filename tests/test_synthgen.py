@@ -172,6 +172,19 @@ def test_load_rejects_bad_files(tmp_path):
         badtok.write_text(header + "\n" + rec + "\n")
         with pytest.raises(DataError, match="badtok.jsonl:2"):
             load_dataset(badtok)
+    good = {"id": 0, "segment_a": [1], "segment_b": [2], "label": 0,
+            "bias_tag": "clean", "bias_token": None}
+    for recs in ([good, dict(good, segment_a=[3])],            # duplicate id
+                 [dict(good, id="x")], [dict(good, id=True)],   # non-integer id
+                 [dict(good, bias_token=2)],                   # clean with a token
+                 [dict(good, bias_tag="biased")],              # biased without one
+                 [dict(good, bias_tag="anti_biased", bias_token=60)],  # outside the vocab
+                 [dict(good, bias_tag="biased", bias_token=-1)],
+                 [dict(good, bias_tag="biased", bias_token="0")]):
+        badrec = tmp_path / "badrec.jsonl"
+        badrec.write_text("\n".join([header] + [json.dumps(r) for r in recs]) + "\n")
+        with pytest.raises(DataError, match=f"badrec.jsonl:{len(recs) + 1}"):
+            load_dataset(badrec)
 
 
 def test_digest_stable():

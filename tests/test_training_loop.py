@@ -1,0 +1,161 @@
+"""The shared minibatch loop against the two loops it replaced.
+
+`_reference_train_main` and `_reference_train_shallow` are the separate
+training loops of `trainer.train_main` and `shallow.train_shallow` before
+both moved onto `classifier.MinibatchRun`, kept here as the reference: the
+library's params and metrics records must equal theirs float for float.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from debias_forge import objectives
+from debias_forge.classifier import (
+    Featurizer, Model, OptState, forward, init_params, loss_and_grad, opt_step,
+)
+from debias_forge.objectives import METHODS, AnnealSchedule, anneal_alpha
+from debias_forge.rng import substream
+from debias_forge.shallow import ShallowConfig, ShallowRun, compute_bias_weights, train_shallow
+from debias_forge.trainer import TrainConfig, loss_percentiles, train_main, train_teacher
+
+TRAIN = TrainConfig(epochs=2, batch_size=64, learning_rate=2e-3, hidden=8,
+                    feature_dim=130, eval_every=5, seed=3)
+SHALLOW = ShallowConfig(sample_size=200, epochs=3, learning_rate=5e-3, batch_size=32,
+                        hidden=8, feature_dim=130, seed=3)
+
+
+def _reference_train_main(train, weights, cfg, eval_suite=None, teacher=None):
+    K = train.num_labels
+    featurizer = Featurizer(vocab_size=train.vocab_size, dim=cfg.feature_dim)
+    X = featurizer.matrix(train.examples)
+    y = train.labels()
+    n = len(train.examples)
+    p_b = None
+    if cfg.method != "baseline_ce":
+        p_b = np.array([weights.entries[ex.id]["p_b"] for ex in train.examples])
+    p_t = forward(teacher.params, X) if cfg.method == "conf_reg" else None
+    eval_matrices = {split: (featurizer.matrix(ds.examples), ds.labels())
+                     for split, ds in (eval_suite or {}).items()}
+
+    params = init_params(cfg.feature_dim, cfg.hidden, K, substream(cfg.seed, "init"))
+    state = OptState(learning_rate=cfg.learning_rate, mode=cfg.optimizer,
+                     beta2=cfg.adam_beta2)
+    shuffle_rng = substream(cfg.seed, "shuffle")
+    total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
+    sched = cfg.anneal
+    if sched.enabled:
+        sched = AnnealSchedule(minimum=sched.minimum, total_steps=total_steps, enabled=True)
+
+    metrics = []
+    step = 0
+    for _epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            alpha = anneal_alpha(step, sched)
+            targets, w, offset = objectives.build_targets(
+                cfg.method, y[idx], K,
+                p_b=None if p_b is None else p_b[idx],
+                p_t=None if p_t is None else p_t[idx],
+                alpha=alpha,
+            )
+            losses, grads = loss_and_grad(params, X[idx], targets, w, offset)
+            params, state = opt_step(params, grads, state)
+            step += 1
+            p0, p25, p50, p75, p100 = loss_percentiles(losses)
+            rec = {"step": step, "mean_loss": float(losses.mean()),
+                   "p0": p0, "p25": p25, "p50": p50, "p75": p75, "p100": p100,
+                   "alpha": alpha, "clamped": grads.clamped}
+            if eval_matrices and (step % cfg.eval_every == 0 or step == total_steps):
+                for split, (Xe, ye) in eval_matrices.items():
+                    p = forward(params, Xe)
+                    rec[f"acc_{split}"] = float(np.mean(np.argmax(p, axis=1) == ye))
+            metrics.append(rec)
+    return Model(params=params, featurizer=featurizer, num_labels=K,
+                 meta={"method": cfg.method, "seed": cfg.seed}), metrics
+
+
+def _reference_train_shallow(train, cfg):
+    K = train.num_labels
+    pick = substream(cfg.seed, "subsample").permutation(len(train))[:cfg.sample_size]
+    subset = [train.examples[int(i)] for i in sorted(pick)]
+    featurizer = Featurizer(vocab_size=train.vocab_size, dim=cfg.feature_dim)
+    X = featurizer.matrix(subset)
+    onehot = np.zeros((len(subset), K))
+    onehot[np.arange(len(subset)), [ex.label for ex in subset]] = 1.0
+
+    params = init_params(cfg.feature_dim, cfg.hidden, K, substream(cfg.seed, "init"))
+    state = OptState(learning_rate=cfg.learning_rate, mode=cfg.optimizer,
+                     beta2=cfg.adam_beta2)
+    shuffle_rng = substream(cfg.seed, "shuffle")
+    n = len(subset)
+    for _epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            _, grads = loss_and_grad(params, X[idx], onehot[idx], np.ones(idx.size))
+            params, state = opt_step(params, grads, state)
+    subset_ids = set(ex.id for ex in subset)
+    return Model(params=params, featurizer=featurizer, num_labels=K,
+                 meta={"role": "shallow", "seed": cfg.seed,
+                       "subset_ids": sorted(subset_ids)}), subset_ids
+
+
+def _assert_same_model(model, ref):
+    assert model.meta == ref.meta
+    assert model.num_labels == ref.num_labels and model.featurizer == ref.featurizer
+    for name, arr in ref.params.arrays().items():
+        assert np.array_equal(model.params.arrays()[name], arr), name
+
+
+@pytest.fixture(scope="module")
+def reference_stage(tiny_train):
+    """Bias weights of every example from a reference shallow run, and the
+    reference baseline model as the conf_reg teacher."""
+    shallow_model, _ = _reference_train_shallow(tiny_train, SHALLOW)
+    weights = compute_bias_weights(shallow_model, tiny_train, set())
+    teacher, _ = _reference_train_main(tiny_train, None, TRAIN)
+    return weights, teacher
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_train_main_equals_reference_loop(tiny_train, tiny_suite, reference_stage, method):
+    weights, teacher = reference_stage
+    cfg = replace(TRAIN, method=method)
+    if method == "poe":
+        cfg = replace(cfg, anneal=AnnealSchedule(minimum=0.2, enabled=True))
+    weights = None if method == "baseline_ce" else weights
+    teacher = teacher if method == "conf_reg" else None
+    model, metrics = train_main(tiny_train, weights, cfg, eval_suite=tiny_suite, teacher=teacher)
+    ref_model, ref_metrics = _reference_train_main(tiny_train, weights, cfg,
+                                                   eval_suite=tiny_suite, teacher=teacher)
+    assert metrics == ref_metrics
+    assert len(metrics) == 2 * math.ceil(len(tiny_train) / TRAIN.batch_size)
+    assert sum("acc_anti_biased" in rec for rec in metrics) == 6
+    _assert_same_model(model, ref_model)
+
+
+def test_teacher_equals_reference_baseline(tiny_train, reference_stage):
+    _, ref_teacher = reference_stage
+    teacher = train_teacher(tiny_train, replace(TRAIN, method="conf_reg"))
+    for name, arr in ref_teacher.params.arrays().items():
+        assert np.array_equal(teacher.params.arrays()[name], arr), name
+
+
+def test_continued_shallow_run_equals_reference_runs(tiny_train):
+    cfg1 = replace(SHALLOW, epochs=1)
+    run = ShallowRun.start(tiny_train, cfg1)
+    short, short_ids = train_shallow(tiny_train, cfg1, run=run)
+    long, long_ids = train_shallow(tiny_train, SHALLOW, run=run)
+    fresh, fresh_ids = train_shallow(tiny_train, SHALLOW)
+    ref_short, ref_ids = _reference_train_shallow(tiny_train, cfg1)
+    ref_long, _ = _reference_train_shallow(tiny_train, SHALLOW)
+    assert short_ids == long_ids == fresh_ids == ref_ids
+    # the 1-epoch model keeps its params after the run goes on to 3 epochs
+    _assert_same_model(short, ref_short)
+    _assert_same_model(long, ref_long)
+    _assert_same_model(fresh, ref_long)
+
