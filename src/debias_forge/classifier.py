@@ -13,6 +13,11 @@ is the per-example reference; matrix() builds the same CSR matrix with numpy
 in blocks of _BLOCK_ROWS rows, which bounds its scratch memory. It computes
 the pair hash in wrapping uint32 arithmetic, which equals the formula in
 _pair_dim mod 2**32 for any vocabulary.
+
+On a sparse batch the W1 gradient is row-sparse: loss_and_grad computes it
+only on the feature rows the batch touches, and opt_step adds its terms to
+those rows alone. Params and optimizer state equal those of the dense update
+bit for bit; Gradients.arrays() gives the dense gradient.
 """
 
 import json
@@ -164,7 +169,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def _as_matrix(X):
     if sp.issparse(X):
-        return X
+        return X.tocsr()
     arr = np.asarray(X, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -191,14 +196,45 @@ def forward(params: ModelParams, X) -> np.ndarray:
 
 @dataclass
 class Gradients:
+    """Gradients of the mean loss. The W1 gradient is row-sparse: W1 holds
+    the rows W1_rows (sorted) of the (D, H) gradient, whose other rows are
+    exactly +0.0; W1_rows is slice(None) when W1 holds every row."""
     W1: np.ndarray
     b1: np.ndarray
     W2: np.ndarray
     b2: np.ndarray
+    W1_rows: np.ndarray | slice
+    D: int
     clamped: int = 0
 
+    def indexed(self):
+        """Per name, (gradient, the rows of the parameter it covers)."""
+        every = slice(None)
+        return {"W1": (self.W1, self.W1_rows), "b1": (self.b1, every),
+                "W2": (self.W2, every), "b2": (self.b2, every)}
+
     def arrays(self):
-        return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
+        """Dense gradients by name."""
+        W1 = self.W1
+        if not isinstance(self.W1_rows, slice):
+            W1 = np.zeros((self.D, W1.shape[1]))
+            W1[self.W1_rows] = self.W1
+        return {"W1": W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
+
+
+def _touched_rows_product(X: sp.csr_matrix, dz1: np.ndarray):
+    """(rows, X.T @ dz1 on rows): the sorted feature rows X touches and the
+    product on them alone. X.T with its rows renumbered 0..r-1 is summed by
+    the same kernel in the same order (batch rows in turn) as the dense
+    product, so each row equals the dense product's bit for bit."""
+    cols = X.indices.astype(np.intp)
+    touched = np.zeros(X.shape[1], dtype=bool)
+    touched[cols] = True
+    rows = np.flatnonzero(touched)
+    rank = np.empty(X.shape[1], dtype=X.indices.dtype)
+    rank[rows] = np.arange(rows.size, dtype=rank.dtype)
+    Xt = sp.csc_matrix((X.data, rank[cols], X.indptr), shape=(rows.size, X.shape[0]))
+    return rows, Xt @ dz1
 
 
 def loss_and_grad(params: ModelParams, X, targets, weights, logit_offset=None):
@@ -208,6 +244,7 @@ def loss_and_grad(params: ModelParams, X, targets, weights, logit_offset=None):
     p = softmax(logits + logit_offset). Returns (per-example losses,
     gradients of mean(loss_i)). The optional per-example logit_offset is how
     a fixed log-probability expert is folded into the same gradient path.
+    For sparse X the W1 gradient covers only the rows X touches.
     """
     X = _as_matrix(X)
     n = X.shape[0]
@@ -231,11 +268,12 @@ def loss_and_grad(params: ModelParams, X, targets, weights, logit_offset=None):
     db2 = dlogits.sum(axis=0)
     da1 = dlogits @ params.W2.T
     dz1 = da1 * (z1 > 0)
-    dW1 = (X.T @ dz1) if sp.issparse(X) else X.T @ dz1
-    if sp.issparse(dW1):
-        dW1 = np.asarray(dW1.todense())
+    if sp.issparse(X):
+        rows, dW1 = _touched_rows_product(X, dz1)
+    else:
+        rows, dW1 = slice(None), X.T @ dz1
     db1 = dz1.sum(axis=0)
-    return losses, Gradients(np.asarray(dW1), db1, dW2, db2, clamped)
+    return losses, Gradients(dW1, db1, dW2, db2, rows, X.shape[1], clamped)
 
 
 def grad_check(params: ModelParams, X, targets, weights, eps: float = 1e-5,
@@ -289,48 +327,60 @@ class OptState:
     def __post_init__(self):
         if self.mode not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer mode {self.mode!r}")
+        # opt_step relies on m*beta1 never rounding a non-zero m to zero
+        if not 0.5 < self.beta1 < 1.0:
+            raise ConfigError(f"beta1 must lie in (0.5, 1), got {self.beta1}")
 
 
 def opt_step(params: ModelParams, grads: Gradients, state: OptState):
-    """One in-place update; returns (params, state). Aborts on non-finite grads."""
-    garrs = grads.arrays()
-    for name, g in garrs.items():
+    """One in-place update; returns (params, state). Aborts on non-finite grads.
+
+    The gradient terms go to the rows each gradient covers, and nowhere
+    else; this equals the dense update bit for bit. Elsewhere the dense
+    gradient is +0.0, and adding +0.0 changes no value but -0.0. Neither
+    moment is ever -0.0: both start at +0.0, v never goes negative, and
+    m*beta1 with beta1 > 0.5 rounds no non-zero m to zero.
+    """
+    indexed = grads.indexed()
+    for name, (g, _) in indexed.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {name}; step aborted")
     state.step += 1
     lr = state.learning_rate
     parrs = params.arrays()
     if state.mode == "sgd":
-        for name, g in garrs.items():
-            parrs[name] -= lr * g
+        for name, (g, rows) in indexed.items():
+            parrs[name][rows] -= lr * g
     else:
         t = state.step
-        for name, g in garrs.items():
+        for name, (g, rows) in indexed.items():
+            p = parrs[name]
             if name not in state.m:
-                state.m[name] = np.zeros_like(g)
-                state.v[name] = np.zeros_like(g)
-                state.scratch[name] = (np.empty_like(g), np.empty_like(g))
+                state.m[name] = np.zeros_like(p)
+                state.v[name] = np.zeros_like(p)
+                state.scratch[name] = (np.empty_like(p), np.empty_like(p))
             m, v = state.m[name], state.v[name]
             s1, s2 = state.scratch[name]
-            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-            # p -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps), computed in
-            # place in that order: bit-identical results, and no parameter-sized
-            # temporaries, which page-fault on every step whenever malloc
-            # serves them with mmap
+            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g (the g terms on
+            # `rows` only) and p -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps),
+            # computed in place in that order: bit-identical results, and no
+            # parameter-sized temporaries, which page-fault on every step
+            # whenever malloc serves them with mmap
             m *= state.beta1
-            np.multiply(g, 1 - state.beta1, out=s1)
-            m += s1
             v *= state.beta2
-            np.multiply(g, 1 - state.beta2, out=s1)
-            s1 *= g
-            v += s1
+            gs = s1[:len(g)]  # the terms of g's rows, in s1's first rows
+            np.multiply(g, 1 - state.beta1, out=gs)
+            m[rows] += gs
+            np.multiply(g, 1 - state.beta2, out=gs)
+            gs *= g
+            v[rows] += gs
             np.divide(m, 1 - state.beta1 ** t, out=s1)
             s1 *= lr
             np.divide(v, 1 - state.beta2 ** t, out=s2)
             np.sqrt(s2, out=s2)
             s2 += state.eps
             s1 /= s2
-            parrs[name] -= s1
+            p -= s1
     return params, state
 
 
@@ -416,8 +466,8 @@ def load_checkpoint(path) -> Model:
     try:
         with open_text(path) as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: parse error at offset {e.pos}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
+        raise DataError(f"{path}: parse error: {e}") from e
     try:
         meta = obj["meta"]
         D, H, K, vocab_size = meta["D"], meta["H"], meta["K"], meta["vocab_size"]

@@ -109,6 +109,9 @@ def _parse_value(key: str, text: str):
             vals.append(json.loads(p))
         except json.JSONDecodeError:
             vals.append(p)
+        except (ValueError, RecursionError) as e:  # too many digits, too deep
+            raise ConfigError(f"config key {key!r}: cannot parse a value of "
+                              f"{len(p)} characters: {e}") from e
     return vals if len(vals) > 1 else vals[0]
 
 

@@ -308,7 +308,7 @@ def load_bias_weights(path, num_labels: int) -> BiasWeights:
                 ex_id, p_b = rec["id"], rec["p_b"]
                 entry = {"p_b": p_b, "p_b_correct": rec["p_b_correct"],
                          "predicted": rec["predicted"]}
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
                 raise DataError(f"{path}:{lineno}: bad weights line: {e}") from e
             except (KeyError, TypeError) as e:
                 raise DataError(f"{path}:{lineno}: malformed weights record: {e!r}") from e

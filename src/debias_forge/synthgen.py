@@ -457,7 +457,7 @@ def load_dataset(path) -> Dataset:
         raise DataError(f"{path}: empty dataset file")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise DataError(f"{path}: bad header line: {e}") from e
     if not isinstance(header, dict):
         raise DataError(f"{path}: header must be a JSON object")
@@ -473,7 +473,7 @@ def load_dataset(path) -> Dataset:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise DataError(f"{path}:{lineno}: bad example line: {e}") from e
         try:
             ex = Example(
@@ -505,5 +505,13 @@ def load_dataset(path) -> Dataset:
                             f"bias_token {token!r}")
         if token is not None and not (type(token) is int and 0 <= token < vocab):
             raise DataError(f"{path}:{lineno}: bias_token {token!r} outside [0, {vocab})")
+        # the rules inject_bias and the eval suite's biased splits follow
+        if token is not None and ex.segment_b[:1] != (token,):
+            raise DataError(f"{path}:{lineno}: bias_token {token} is not the first "
+                            f"token of segment_b {list(ex.segment_b)}")
+        if token is not None and (token == ex.label) != (ex.bias_tag == "biased"):
+            raise DataError(f"{path}:{lineno}: a {ex.bias_tag} example's bias_token must "
+                            f"{'equal' if ex.bias_tag == 'biased' else 'differ from'} "
+                            f"its label {ex.label}, got {token}")
         examples.append(ex)
     return Dataset(examples, header["num_labels"], header["vocab_size"], header.get("provenance", {}))

@@ -146,6 +146,6 @@ def read_metrics(path):
                 continue
             try:
                 out.append(json.loads(line))
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
                 raise DataError(f"{path}:{lineno}: bad metrics line: {e}") from e
     return out

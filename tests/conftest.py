@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from debias_forge.synthgen import SynthConfig, gen_dataset, inject_bias, make_eval_suite
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
+# fuzz failure in CI reruns the same way anywhere; without it, each run
+# explores new ones
+settings.register_profile("ci", derandomize=True)
 
 
 TINY = SynthConfig(

@@ -189,6 +189,91 @@ def test_adam_step_matches_reference_formula(rng):
             assert np.array_equal(params.arrays()[name], ref[name]), (t, name)
 
 
+def _csr_batches(rng, steps, n=5):
+    """CSR batches whose feature columns change from step to step: columns
+    [0, 8) are never touched, each step draws from its own window of the
+    rest, so that rows are touched, left out for a while and touched again."""
+    batches = []
+    for t in range(steps):
+        lo = 8 + (7 * t) % (D - 20)
+        dense = np.zeros((n, D))
+        cols = rng.integers(lo, lo + 12, size=(n, 3))
+        dense[np.arange(n)[:, None], cols] = rng.integers(1, 4, size=(n, 3))
+        labels = rng.integers(0, K, size=n)
+        targets = np.zeros((n, K))
+        targets[np.arange(n), labels] = 1.0
+        batches.append((sp.csr_matrix(dense), targets, rng.random(n) + 0.1))
+    return batches
+
+
+def test_touched_rows_product_equals_dense_product(rng):
+    for n in (1, 4, 32):
+        dense = rng.normal(size=(n, D)) * (rng.random((n, D)) < 0.2)
+        X = sp.csr_matrix(dense)
+        dz1 = rng.normal(size=(n, H))
+        rows, prod = classifier._touched_rows_product(X, dz1)
+        full = np.asarray(X.T @ dz1)
+        assert np.array_equal(rows, np.flatnonzero(dense.any(axis=0)))
+        assert np.array_equal(prod, full[rows])
+        assert not full[np.setdiff1d(np.arange(D), rows)].any()
+
+
+@pytest.mark.parametrize("mode,beta2", [("adam", 0.9), ("adam", 0.999), ("sgd", 0.999)])
+def test_row_sparse_step_equals_dense_formula(rng, mode, beta2):
+    params = init_params(D, H, K, rng)
+    state = OptState(learning_rate=3e-2, mode=mode, beta2=beta2)
+    b1, eps, lr = state.beta1, state.eps, state.learning_rate
+    ref = {n: a.copy() for n, a in params.arrays().items()}
+    ref_m = {n: np.zeros_like(a) for n, a in ref.items()}
+    ref_v = {n: np.zeros_like(a) for n, a in ref.items()}
+    seen, left_out = np.zeros(D, dtype=bool), np.zeros(D, dtype=bool)
+    for t, (X, targets, weights) in enumerate(_csr_batches(rng, 12), start=1):
+        _, grads = loss_and_grad(params, X, targets, weights)
+        assert not isinstance(grads.W1_rows, slice) and grads.W1.shape[0] < D
+        touched = np.zeros(D, dtype=bool)
+        touched[grads.W1_rows] = True
+        left_out |= seen & ~touched
+        seen |= touched
+        params, state = opt_step(params, grads, state)
+        for name, g in grads.arrays().items():
+            if mode == "sgd":
+                ref[name] -= lr * g
+            else:
+                ref_m[name] = b1 * ref_m[name] + (1 - b1) * g
+                ref_v[name] = beta2 * ref_v[name] + (1 - beta2) * g * g
+                mhat = ref_m[name] / (1 - b1 ** t)
+                vhat = ref_v[name] / (1 - beta2 ** t)
+                ref[name] -= lr * mhat / (np.sqrt(vhat) + eps)
+                assert np.array_equal(state.m[name], ref_m[name]), (t, name)
+                assert np.array_equal(state.v[name], ref_v[name]), (t, name)
+            assert np.array_equal(params.arrays()[name], ref[name]), (t, name)
+    assert not seen[:8].any() and seen[8:].sum() > 20 and left_out.sum() > 10
+
+
+def test_nonfinite_touched_w1_row_aborts_without_update(rng):
+    X, targets, weights = _csr_batches(rng, 1)[0]
+    for mode in ("sgd", "adam"):
+        params = init_params(D, H, K, rng)
+        state = OptState(learning_rate=0.1, mode=mode)
+        params, state = opt_step(params, loss_and_grad(params, X, targets, weights)[1], state)
+        before, m_before = params.copy(), {n: a.copy() for n, a in state.m.items()}
+        _, grads = loss_and_grad(params, X, targets, weights)
+        grads.W1[-1, 0] = np.nan
+        with pytest.raises(NumericError, match="W1"):
+            opt_step(params, grads, state)
+        assert state.step == 1
+        for name, arr in before.arrays().items():
+            assert np.array_equal(params.arrays()[name], arr), name
+        for name, arr in m_before.items():
+            assert np.array_equal(state.m[name], arr), name
+
+
+def test_adam_beta1_must_exceed_one_half():
+    for beta1 in (0.5, 0.3, 1.0):
+        with pytest.raises(ConfigError, match="beta1"):
+            OptState(learning_rate=0.1, mode="adam", beta1=beta1)
+
+
 def test_nonfinite_gradient_aborts(rng):
     params, X, targets, weights, _ = _random_setup(rng)
     _, grads = loss_and_grad(params, X, targets, weights)

@@ -157,13 +157,16 @@ def test_generate_bad_config_exits_2(tmp_path):
     assert not (out / "train.jsonl").exists()
 
 
-@pytest.mark.parametrize("kind", ["dataset", "weights", "checkpoint", "metrics", "config"])
-def test_non_utf8_input_exits_with_its_code(conf, tmp_path, caplog, kind):
+READERS = ["dataset", "weights", "checkpoint", "metrics", "config"]
+
+
+def _read_bad_file(conf, tmp_path, kind, content: bytes):
+    """Exit code of a command that reads a file of `kind` holding `content`."""
     out = tmp_path / "o"
     assert _run("generate", "--config", conf, "--out-dir", str(out), "--seed", "5",
                 "--quiet") == 0
     train, bad = str(out / "train.jsonl"), tmp_path / "bad"
-    bad.write_bytes(b'{"num_labels": 3}\xff\n')
+    bad.write_bytes(content)
     args = {
         "dataset": ["shallow", "--config", conf, "--data", str(bad)],
         "weights": ["train", "--config", conf, "--set", "train.method=poe",
@@ -172,9 +175,30 @@ def test_non_utf8_input_exits_with_its_code(conf, tmp_path, caplog, kind):
         "metrics": ["report", "--kind", "trajectory", "--config", conf, "--metrics", str(bad)],
         "config": ["generate", "--config", str(bad)],
     }[kind]
-    assert _run(*args, "--out-dir", str(tmp_path / "x"), "--quiet") == (
-        2 if kind == "config" else 3)
+    return _run(*args, "--out-dir", str(tmp_path / "x"), "--quiet")
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_non_utf8_input_exits_with_its_code(conf, tmp_path, caplog, kind):
+    code = _read_bad_file(conf, tmp_path, kind, b'{"num_labels": 3}\xff\n')
+    assert code == (2 if kind == "config" else 3)
     assert "not UTF-8" in caplog.text
+
+
+# JSON that json.loads rejects with ValueError and RecursionError, not JSONDecodeError
+UNPARSABLE = {"digits": "9" * 5000, "nesting": "[" * 100_000}
+
+
+@pytest.mark.parametrize("fault", sorted(UNPARSABLE))
+@pytest.mark.parametrize("kind", READERS)
+def test_unparsable_json_exits_with_its_code(conf, tmp_path, kind, fault):
+    value = UNPARSABLE[fault]
+    line = f"data.seed = {value}" if kind == "config" else value
+    code = _read_bad_file(conf, tmp_path, kind, (line + "\n").encode())
+    assert code == (2 if kind == "config" else 3)
+    if kind == "config":
+        assert _run("generate", "--set", f"data.seed={value}",
+                    "--out-dir", str(tmp_path / "y"), "--quiet") == 2
 
 
 def test_resolve_config_value_types():

@@ -180,7 +180,13 @@ def test_load_rejects_bad_files(tmp_path):
                  [dict(good, bias_tag="biased")],              # biased without one
                  [dict(good, bias_tag="anti_biased", bias_token=60)],  # outside the vocab
                  [dict(good, bias_tag="biased", bias_token=-1)],
-                 [dict(good, bias_tag="biased", bias_token="0")]):
+                 [dict(good, bias_tag="biased", bias_token="0")],
+                 # the bias token is the first token of segment_b
+                 [dict(good, bias_tag="biased", segment_b=[2, 0], bias_token=0)],
+                 [dict(good, bias_tag="anti_biased", segment_b=[], bias_token=1)],
+                 # a biased token is the label, an anti-biased one is not
+                 [dict(good, bias_tag="biased", segment_b=[1, 5], bias_token=1)],
+                 [dict(good, bias_tag="anti_biased", segment_b=[0, 5], bias_token=0)]):
         badrec = tmp_path / "badrec.jsonl"
         badrec.write_text("\n".join([header] + [json.dumps(r) for r in recs]) + "\n")
         with pytest.raises(DataError, match=f"badrec.jsonl:{len(recs) + 1}"):

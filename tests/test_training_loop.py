@@ -4,6 +4,9 @@
 training loops of `trainer.train_main` and `shallow.train_shallow` before
 both moved onto `classifier.MinibatchRun`, kept here as the reference: the
 library's params and metrics records must equal theirs float for float.
+They update with `_DenseOptimizer`, the dense in-place SGD/Adam that
+`classifier.opt_step` replaced, on the dense gradients of `grads.arrays()`,
+so they also check the row-sparse first-layer update against the dense one.
 """
 
 import math
@@ -13,9 +16,8 @@ import numpy as np
 import pytest
 
 from debias_forge import objectives
-from debias_forge.classifier import (
-    Featurizer, Model, OptState, forward, init_params, loss_and_grad, opt_step,
-)
+from debias_forge.classifier import Featurizer, Model, forward, init_params, loss_and_grad
+from debias_forge.errors import NumericError
 from debias_forge.objectives import METHODS, AnnealSchedule, anneal_alpha
 from debias_forge.rng import substream
 from debias_forge.shallow import ShallowConfig, ShallowRun, compute_bias_weights, train_shallow
@@ -25,6 +27,47 @@ TRAIN = TrainConfig(epochs=2, batch_size=64, learning_rate=2e-3, hidden=8,
                     feature_dim=130, eval_every=5, seed=3)
 SHALLOW = ShallowConfig(sample_size=200, epochs=3, learning_rate=5e-3, batch_size=32,
                         hidden=8, feature_dim=130, seed=3)
+
+
+class _DenseOptimizer:
+    """The dense in-place update: every gradient term over every array."""
+
+    def __init__(self, learning_rate, mode, beta2, beta1=0.9, eps=1e-8):
+        self.lr, self.mode, self.eps = learning_rate, mode, eps
+        self.beta1, self.beta2 = beta1, beta2
+        self.step, self.m, self.v, self.scratch = 0, {}, {}, {}
+
+    def update(self, params, grads):
+        garrs = grads.arrays()
+        for name, g in garrs.items():
+            if not np.all(np.isfinite(g)):
+                raise NumericError(f"non-finite gradient in {name}; step aborted")
+        self.step += 1
+        lr, t = self.lr, self.step
+        parrs = params.arrays()
+        for name, g in garrs.items():
+            if self.mode == "sgd":
+                parrs[name] -= lr * g
+                continue
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(g), np.zeros_like(g)
+                self.scratch[name] = (np.empty_like(g), np.empty_like(g))
+            m, v = self.m[name], self.v[name]
+            s1, s2 = self.scratch[name]
+            m *= self.beta1
+            np.multiply(g, 1 - self.beta1, out=s1)
+            m += s1
+            v *= self.beta2
+            np.multiply(g, 1 - self.beta2, out=s1)
+            s1 *= g
+            v += s1
+            np.divide(m, 1 - self.beta1 ** t, out=s1)
+            s1 *= lr
+            np.divide(v, 1 - self.beta2 ** t, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            parrs[name] -= s1
 
 
 def _reference_train_main(train, weights, cfg, eval_suite=None, teacher=None):
@@ -41,8 +84,7 @@ def _reference_train_main(train, weights, cfg, eval_suite=None, teacher=None):
                      for split, ds in (eval_suite or {}).items()}
 
     params = init_params(cfg.feature_dim, cfg.hidden, K, substream(cfg.seed, "init"))
-    state = OptState(learning_rate=cfg.learning_rate, mode=cfg.optimizer,
-                     beta2=cfg.adam_beta2)
+    opt = _DenseOptimizer(cfg.learning_rate, cfg.optimizer, cfg.adam_beta2)
     shuffle_rng = substream(cfg.seed, "shuffle")
     total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
     sched = cfg.anneal
@@ -63,7 +105,7 @@ def _reference_train_main(train, weights, cfg, eval_suite=None, teacher=None):
                 alpha=alpha,
             )
             losses, grads = loss_and_grad(params, X[idx], targets, w, offset)
-            params, state = opt_step(params, grads, state)
+            opt.update(params, grads)
             step += 1
             p0, p25, p50, p75, p100 = loss_percentiles(losses)
             rec = {"step": step, "mean_loss": float(losses.mean()),
@@ -88,8 +130,7 @@ def _reference_train_shallow(train, cfg):
     onehot[np.arange(len(subset)), [ex.label for ex in subset]] = 1.0
 
     params = init_params(cfg.feature_dim, cfg.hidden, K, substream(cfg.seed, "init"))
-    state = OptState(learning_rate=cfg.learning_rate, mode=cfg.optimizer,
-                     beta2=cfg.adam_beta2)
+    opt = _DenseOptimizer(cfg.learning_rate, cfg.optimizer, cfg.adam_beta2)
     shuffle_rng = substream(cfg.seed, "shuffle")
     n = len(subset)
     for _epoch in range(cfg.epochs):
@@ -97,7 +138,7 @@ def _reference_train_shallow(train, cfg):
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             _, grads = loss_and_grad(params, X[idx], onehot[idx], np.ones(idx.size))
-            params, state = opt_step(params, grads, state)
+            opt.update(params, grads)
     subset_ids = set(ex.id for ex in subset)
     return Model(params=params, featurizer=featurizer, num_labels=K,
                  meta={"role": "shallow", "seed": cfg.seed,
