@@ -8,11 +8,11 @@ Feature space layout for dimension D over vocabulary V (requires D > 2V):
                 therefore owns a dedicated dimension)
     [2V, D)     hashed ordered (a-token, b-token) co-occurrence counts
 
-Tokens must lie in [0, V); matrix() raises DataError otherwise. featurize()
-is the per-example reference; matrix() builds the same CSR matrix with numpy
-in blocks of _BLOCK_ROWS rows, which bounds its scratch memory. It computes
-the pair hash in wrapping uint32 arithmetic, which equals the formula in
-_pair_dim mod 2**32 for any vocabulary.
+A pair (a, b) lands at 2V + ((a * 1000003 + b) * 2654435761 mod 2**32) mod
+(D - 2V). Tokens must lie in [0, V); matrix() raises DataError otherwise.
+matrix() builds the CSR matrix with numpy in blocks of _BLOCK_ROWS rows, which
+bounds its scratch memory, and computes the pair hash in wrapping uint32
+arithmetic, which equals the formula for any vocabulary.
 
 On a sparse batch the W1 gradient is row-sparse: loss_and_grad computes it
 only on the feature rows the batch touches, and opt_step adds its terms to
@@ -52,27 +52,8 @@ class Featurizer:
                 f"({2 * self.vocab_size}) to leave room for pair hashes"
             )
 
-    def _pair_dim(self, a: int, b: int) -> int:
-        n_hash = self.dim - 2 * self.vocab_size
-        h = ((a * 1_000_003 + b) * 2_654_435_761) % (1 << 32)
-        return 2 * self.vocab_size + h % n_hash
-
-    def featurize(self, example) -> dict:
-        """Sparse map dimension -> count; deterministic."""
-        feats = {}
-        for t in example.segment_a:
-            feats[t] = feats.get(t, 0.0) + 1.0
-        for t in example.segment_b:
-            d = self.vocab_size + t
-            feats[d] = feats.get(d, 0.0) + 1.0
-        for a in example.segment_a:
-            for b in example.segment_b:
-                d = self._pair_dim(a, b)
-                feats[d] = feats.get(d, 0.0) + 1.0
-        return feats
-
     def matrix(self, examples) -> sp.csr_matrix:
-        """Stack featurize() over examples into an (n, dim) CSR matrix."""
+        """The (n, dim) CSR matrix of feature counts, one row per example."""
         data, indices = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
         indptr = [np.zeros(1, dtype=np.int64)]
         for start in range(0, len(examples), _BLOCK_ROWS):
@@ -86,7 +67,7 @@ class Featurizer:
         )
 
     def _block(self, examples, first_row: int):
-        """(data, indices, indptr[1:]) of featurize() over a block of rows:
+        """(data, indices, indptr[1:]) of matrix() over a block of rows:
         per row, sorted feature dims with summed counts."""
         n, V, dim = len(examples), self.vocab_size, self.dim
         len_a = np.fromiter((len(ex.segment_a) for ex in examples), np.int64, n)
@@ -485,6 +466,9 @@ def load_checkpoint(path) -> Model:
             f"{path}: shape mismatch: meta says D={D} H={H} K={K}, arrays are "
             f"{params.W1.shape}/{params.b1.shape}/{params.W2.shape}/{params.b2.shape}"
         )
+    for name in ("W1", "b1", "W2", "b2"):
+        if not np.isfinite(getattr(params, name)).all():
+            raise SchemaError(f"{path}: non-finite value in {name}")
     feat = Featurizer(vocab_size=vocab_size, dim=D)
     extra = {k: v for k, v in meta.items()
              if k not in ("D", "H", "K", "step", "config_digest", "vocab_size")}

@@ -606,13 +606,16 @@ def cmd_report(args) -> int:
             path = os.path.join(args.suite_dir, f"eval_{split}.jsonl")
             suite[split] = load_dataset(path)
             inputs.append(path)
-        rows = []
+        rows, features = [], {}  # (featurizer, split) -> that split's feature matrix
         for path in args.checkpoint_list:
             model = load_checkpoint(path)
             inputs.append(path)
             row = {"method": model.meta.get("method", os.path.basename(path))}
             for split, ds in suite.items():
-                row[split] = accuracy(model, ds)
+                key = (model.featurizer, split)
+                if key not in features:
+                    features[key] = model.featurizer.matrix(ds.examples)
+                row[split] = accuracy(model, ds, features[key])
             rows.append(row)
         emit("compare", ["method", "original", "biased", "anti_biased"], rows,
              {"methods": [r["method"] for r in rows]})

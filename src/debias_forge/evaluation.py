@@ -6,6 +6,7 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
+from .classifier import forward
 from .errors import ConfigError, DataError
 from .objectives import AnnealSchedule
 from .shallow import ShallowConfig, compute_bias_weights, train_shallow
@@ -13,12 +14,14 @@ from .synthgen import SynthConfig, bias_oracle_predict, gen_dataset, inject_bias
 from .trainer import TrainConfig, train_main, train_teacher
 
 
-def accuracy(model, split) -> float:
-    """Fraction of argmax predictions matching gold (ties -> lowest label)."""
+def accuracy(model, split, features=None) -> float:
+    """Fraction of argmax predictions matching gold (ties -> lowest label).
+    features, if given, is split's feature matrix under model.featurizer."""
     examples = split.examples if hasattr(split, "examples") else list(split)
     if not examples:
         raise DataError("empty split")
-    pred = model.predict(examples)
+    pred = (model.predict(examples) if features is None
+            else np.argmax(forward(model.params, features), axis=1))
     gold = np.array([ex.label for ex in examples])
     return float(np.mean(pred == gold))
 

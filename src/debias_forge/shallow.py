@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classifier import Featurizer, MinibatchRun, Model, forward
-from .errors import ConfigError, DataError, open_text
+from .errors import ConfigError, DataError, read_json_lines
 from .rng import substream
 from .synthgen import bias_oracle_predict
 
@@ -299,36 +299,30 @@ def load_bias_weights(path, num_labels: int) -> BiasWeights:
     num_labels probabilities in [0, 1] summing to 1, a p_b_correct in [0, 1]
     and a predicted label in [0, num_labels)."""
     entries = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                ex_id, p_b = rec["id"], rec["p_b"]
-                entry = {"p_b": p_b, "p_b_correct": rec["p_b_correct"],
-                         "predicted": rec["predicted"]}
-            except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
-                raise DataError(f"{path}:{lineno}: bad weights line: {e}") from e
-            except (KeyError, TypeError) as e:
-                raise DataError(f"{path}:{lineno}: malformed weights record: {e!r}") from e
-            if type(ex_id) is not int:
-                raise DataError(f"{path}:{lineno}: id must be an integer, got {ex_id!r}")
-            if not isinstance(p_b, list) or len(p_b) != num_labels:
-                raise DataError(f"{path}:{lineno}: p_b length != num_labels {num_labels}")
-            if not (all(type(p) in (int, float) and 0.0 <= p <= 1.0 for p in p_b)
-                    and abs(sum(p_b) - 1.0) <= 1e-6):
-                raise DataError(f"{path}:{lineno}: p_b must be probabilities in [0, 1] "
-                                f"summing to 1, got {p_b}")
-            p_correct, predicted = entry["p_b_correct"], entry["predicted"]
-            if not (type(p_correct) in (int, float) and 0.0 <= p_correct <= 1.0):
-                raise DataError(f"{path}:{lineno}: p_b_correct must be a probability in "
-                                f"[0, 1], got {p_correct!r}")
-            if not (type(predicted) is int and 0 <= predicted < num_labels):
-                raise DataError(f"{path}:{lineno}: predicted must be a label in "
-                                f"[0, {num_labels}), got {predicted!r}")
-            if ex_id in entries:
-                raise DataError(f"{path}:{lineno}: duplicate id {ex_id}")
-            entries[ex_id] = entry
+    for lineno, rec in read_json_lines(path):
+        try:
+            ex_id, p_b = rec["id"], rec["p_b"]
+            entry = {"p_b": p_b, "p_b_correct": rec["p_b_correct"],
+                     "predicted": rec["predicted"]}
+        except (KeyError, TypeError) as e:
+            raise DataError(f"{path}:{lineno}: malformed weights record: {e!r}") from e
+        if type(ex_id) is not int:
+            raise DataError(f"{path}:{lineno}: id must be an integer, got {ex_id!r}")
+        if not isinstance(p_b, list) or len(p_b) != num_labels:
+            raise DataError(f"{path}:{lineno}: p_b length != num_labels {num_labels}")
+        if not (all(type(p) in (int, float) and 0.0 <= p <= 1.0 for p in p_b)
+                and abs(sum(p_b) - 1.0) <= 1e-6):
+            raise DataError(f"{path}:{lineno}: p_b must be probabilities in [0, 1] "
+                            f"summing to 1, got {p_b}")
+        p_correct, predicted = entry["p_b_correct"], entry["predicted"]
+        if not (type(p_correct) in (int, float) and 0.0 <= p_correct <= 1.0):
+            raise DataError(f"{path}:{lineno}: p_b_correct must be a probability in "
+                            f"[0, 1], got {p_correct!r}")
+        if not (type(predicted) is int and 0 <= predicted < num_labels):
+            raise DataError(f"{path}:{lineno}: predicted must be a label in "
+                            f"[0, {num_labels}), got {predicted!r}")
+        if ex_id in entries:
+            raise DataError(f"{path}:{lineno}: duplicate id {ex_id}")
+        entries[ex_id] = entry
     return BiasWeights(entries=entries, num_labels=num_labels)
 

@@ -17,10 +17,11 @@ Vocabulary layout (disjoint ranges):
 import hashlib
 import json
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, open_text
+from .errors import ConfigError, DataError, read_json_lines
 from .rng import substream
 
 BIAS_TAGS = ("clean", "biased", "anti_biased")
@@ -78,8 +79,7 @@ class SynthConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class Example:
+class Example(NamedTuple):
     id: int
     segment_a: tuple
     segment_b: tuple
@@ -356,14 +356,7 @@ def gen_dataset(config: SynthConfig) -> Dataset:
 
 
 def _with_bias_token(ex: Example, code: int, tag: str) -> Example:
-    return Example(
-        id=ex.id,
-        segment_a=ex.segment_a,
-        segment_b=(code,) + ex.segment_b,
-        label=ex.label,
-        bias_tag=tag,
-        bias_token=code,
-    )
+    return ex._replace(segment_b=(code,) + ex.segment_b, bias_tag=tag, bias_token=code)
 
 
 def inject_bias(dataset: Dataset, m: float, rho: float, seed: int) -> Dataset:
@@ -451,14 +444,10 @@ def save_dataset(dataset: Dataset, path):
 
 
 def load_dataset(path) -> Dataset:
-    with open_text(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    records = read_json_lines(path)
+    lineno, header = next(records, (None, None))
+    if lineno is None:
         raise DataError(f"{path}: empty dataset file")
-    try:
-        header = json.loads(lines[0])
-    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
-        raise DataError(f"{path}: bad header line: {e}") from e
     if not isinstance(header, dict):
         raise DataError(f"{path}: header must be a JSON object")
     for key in ("num_labels", "vocab_size"):
@@ -468,13 +457,7 @@ def load_dataset(path) -> Dataset:
             raise DataError(f"{path}: header '{key}' must be an integer, got {header[key]!r}")
     vocab = header["vocab_size"]
     examples, ids = [], set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except (ValueError, RecursionError) as e:
-            raise DataError(f"{path}:{lineno}: bad example line: {e}") from e
+    for lineno, rec in records:
         try:
             ex = Example(
                 id=rec["id"],

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import objectives
 from .classifier import Featurizer, MinibatchRun, Model, forward
-from .errors import ConfigError, DataError, open_text
+from .errors import ConfigError, DataError, read_json_lines
 from .objectives import AnnealSchedule, anneal_alpha
 
 PERCENTILE_LEVELS = (0, 25, 50, 75, 100)
@@ -139,13 +139,4 @@ def write_metrics(metrics, path):
 
 
 def read_metrics(path):
-    out = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(json.loads(line))
-            except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
-                raise DataError(f"{path}:{lineno}: bad metrics line: {e}") from e
-    return out
+    return [rec for _, rec in read_json_lines(path)]

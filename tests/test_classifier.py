@@ -36,9 +36,31 @@ def _random_setup(rng, n=6, soft=False, offset=False):
     return params, X, targets, weights, logit_offset
 
 
+def _pair_dim(f, a: int, b: int) -> int:
+    n_hash = f.dim - 2 * f.vocab_size
+    h = ((a * 1_000_003 + b) * 2_654_435_761) % (1 << 32)
+    return 2 * f.vocab_size + h % n_hash
+
+
+def _featurize(f, example) -> dict:
+    """The per-example reference of Featurizer.matrix: a sparse map from
+    feature dimension to count."""
+    feats = {}
+    for t in example.segment_a:
+        feats[t] = feats.get(t, 0.0) + 1.0
+    for t in example.segment_b:
+        d = f.vocab_size + t
+        feats[d] = feats.get(d, 0.0) + 1.0
+    for a in example.segment_a:
+        for b in example.segment_b:
+            d = _pair_dim(f, a, b)
+            feats[d] = feats.get(d, 0.0) + 1.0
+    return feats
+
+
 def test_featurizer_segment_layout():
     f = Featurizer(vocab_size=V, dim=D)
-    feats = f.featurize(_example([3, 3], [5]))
+    feats = _featurize(f, _example([3, 3], [5]))
     assert feats[3] == 2.0            # segment_a token counts
     assert feats[V + 5] == 1.0        # segment_b tokens live in a shifted block
     pair_dims = [d for d in feats if d >= 2 * V]
@@ -46,10 +68,10 @@ def test_featurizer_segment_layout():
 
 
 def _stacked_featurize(f, examples):
-    """The per-example reference: featurize() rows stacked into CSR."""
+    """The per-example reference: _featurize() rows stacked into CSR."""
     data, indices, indptr = [], [], [0]
     for ex in examples:
-        feats = f.featurize(ex)
+        feats = _featurize(f, ex)
         for d in sorted(feats):
             indices.append(d)
             data.append(feats[d])

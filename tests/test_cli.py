@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import debias_forge
 from debias_forge.cli import (
     _pieces_per_seed, config_digest, main, parse_config_file, resolve_config, worker_count,
 )
@@ -162,6 +165,11 @@ READERS = ["dataset", "weights", "checkpoint", "metrics", "config"]
 
 def _read_bad_file(conf, tmp_path, kind, content: bytes):
     """Exit code of a command that reads a file of `kind` holding `content`."""
+    return _run(*_bad_file_argv(conf, tmp_path, kind, content))
+
+
+def _bad_file_argv(conf, tmp_path, kind, content: bytes):
+    """The arguments of a command that reads a file of `kind` holding `content`."""
     out = tmp_path / "o"
     assert _run("generate", "--config", conf, "--out-dir", str(out), "--seed", "5",
                 "--quiet") == 0
@@ -175,7 +183,7 @@ def _read_bad_file(conf, tmp_path, kind, content: bytes):
         "metrics": ["report", "--kind", "trajectory", "--config", conf, "--metrics", str(bad)],
         "config": ["generate", "--config", str(bad)],
     }[kind]
-    return _run(*args, "--out-dir", str(tmp_path / "x"), "--quiet")
+    return [*args, "--out-dir", str(tmp_path / "x"), "--quiet"]
 
 
 @pytest.mark.parametrize("kind", READERS)
@@ -199,6 +207,25 @@ def test_unparsable_json_exits_with_its_code(conf, tmp_path, kind, fault):
     if kind == "config":
         assert _run("generate", "--set", f"data.seed={value}",
                     "--out-dir", str(tmp_path / "y"), "--quiet") == 2
+
+
+# a closed 70 000-deep object: orjson overflows the C stack on it
+DEEP = '{"a": ' * 70_000 + "1" + "}" * 70_000
+DEEP_FILES = {"dataset": '{"num_labels": 3, "vocab_size": 60}\n' + DEEP + "\n",
+              "weights": DEEP + "\n"}
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_FILES))
+def test_deeply_nested_line_exits_3(conf, tmp_path, kind):
+    # in a child process, so that a crash fails this test and not the session
+    argv = _bad_file_argv(conf, tmp_path, kind, DEEP_FILES[kind].encode())
+    src = os.path.dirname(os.path.dirname(debias_forge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-m", "debias_forge.cli", *argv],
+                          env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert b"more than 1000" in proc.stderr
 
 
 def test_resolve_config_value_types():
@@ -230,6 +257,20 @@ def test_identify_schema_mismatch_exits_3(pipeline, tmp_path):
     assert _run("identify", "--checkpoint", str(pipeline["ckpt"]),
                 "--data", str(other / "train.jsonl"),
                 "--out-dir", str(tmp_path / "x"), "--quiet") == 3
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e999"])
+def test_non_finite_checkpoint_exits_3(pipeline, tmp_path, value):
+    obj = json.loads(pipeline["ckpt"].read_text())
+    obj["W1"][0][0] = "@@"
+    bad = tmp_path / "bad.ckpt.json"
+    bad.write_text(json.dumps(obj).replace('"@@"', value))
+    out = pipeline["out"]
+    assert _run("identify", "--config", pipeline["conf"], "--checkpoint", str(bad),
+                "--data", str(out / "train.jsonl"), "--out-dir", str(tmp_path / "x"),
+                "--quiet") == 3
+    assert _run("report", "--kind", "compare", "--checkpoints", str(bad),
+                "--suite-dir", str(out), "--out-dir", str(tmp_path / "x"), "--quiet") == 3
 
 
 def test_train_baseline_and_trajectory_report(pipeline, tmp_path):

@@ -245,6 +245,15 @@ def test_bias_weights_roundtrip(tiny_train, tmp_path):
         assert loaded.entries[ex_id]["p_b"] == list(weights.entries[ex_id]["p_b"])
     save_bias_weights(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
+    # floats whose shortest text is hardest to read back exactly: the least
+    # subnormal, the least normal, and neighbours of 0.1 and 1
+    hard = BiasWeights({0: {"p_b": [5e-324, 2.2250738585072014e-308, 1.0],
+                            "p_b_correct": 0.9999999999999999, "predicted": 2},
+                        1: {"p_b": [0.1, 0.9, 0.0], "p_b_correct": 0.1, "predicted": 1}}, 3)
+    save_bias_weights(hard, p1)
+    assert "5e-324, 2.2250738585072014e-308" in p1.read_text()
+    save_bias_weights(load_bias_weights(p1, 3), p2)
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_bias_weights_load_errors(tmp_path):

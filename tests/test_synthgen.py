@@ -191,6 +191,18 @@ def test_load_rejects_bad_files(tmp_path):
         badrec.write_text("\n".join([header] + [json.dumps(r) for r in recs]) + "\n")
         with pytest.raises(DataError, match=f"badrec.jsonl:{len(recs) + 1}"):
             load_dataset(badrec)
+    # JSON the reader refuses (NaN, Infinity, a number past the largest
+    # double) or reads as a float (an integer of 2**64)
+    line = json.dumps(good)
+    for head, rec in ((header.replace("}", ', "provenance": {"m": NaN}}'), line),
+                      (header.replace("}", ', "provenance": {"m": Infinity}}'), line),
+                      (header, line.replace('"label": 0', '"label": 1e999')),
+                      (header, line.replace('"id": 0', f'"id": {2**64}')),
+                      (header, line.replace('"segment_b": [2]', f'"segment_b": [2, {2**64}]'))):
+        badnum = tmp_path / "badnum.jsonl"
+        badnum.write_text(head + "\n" + rec + "\n")
+        with pytest.raises(DataError, match="badnum.jsonl:[12]"):
+            load_dataset(badnum)
 
 
 def test_digest_stable():

@@ -131,6 +131,9 @@ def test_metrics_roundtrip(tiny_train, tmp_path):
     path = tmp_path / "m.jsonl"
     write_metrics(log, path)
     assert read_metrics(path) == log
+    again = tmp_path / "m2.jsonl"
+    write_metrics(read_metrics(path), again)
+    assert again.read_bytes() == path.read_bytes()
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"step": 1}\nnot json\n')
     with pytest.raises(DataError):
