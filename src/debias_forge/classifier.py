@@ -365,6 +365,18 @@ def opt_step(params: ModelParams, grads: Gradients, state: OptState):
     return params, state
 
 
+def check_run_config(cfg):
+    """ConfigError unless the hyperparameters of cfg, a TrainConfig or a
+    ShallowConfig, are ones a MinibatchRun can train with."""
+    for name in ("epochs", "batch_size", "hidden"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    if not cfg.learning_rate > 0:
+        raise ConfigError(f"learning_rate must be > 0, got {cfg.learning_rate}")
+    if not 0.0 <= cfg.adam_beta2 < 1.0:
+        raise ConfigError(f"adam_beta2 must lie in [0, 1), got {cfg.adam_beta2}")
+
+
 class MinibatchRun:
     """A resumable minibatch training run over the rows of X: params from
     init_params on substream(seed, "init"), an OptState, the

@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 from . import __version__
 from .classifier import load_checkpoint, save_checkpoint
@@ -43,42 +43,31 @@ logger = logging.getLogger("debias_forge")
 
 REPORT_KINDS = ("trajectory", "histogram", "sweep", "proportion", "stability", "compare")
 
-# every accepted config key with its built-in default
+# the config section that each config dataclass is read from, field by field;
+# a TrainConfig's anneal schedule comes from the anneal.* keys instead
+SECTIONS = {SynthConfig: "data", ShallowConfig: "shallow", TrainConfig: "train"}
+
+
+def _field_keys(cls) -> dict:
+    """section.name -> field, for each field of cls that has a config key."""
+    return {f"{SECTIONS[cls]}.{f.name}": f for f in fields(cls) if f.name != "anneal"}
+
+
+def _field_defaults(cls) -> dict:
+    return {key: f.default for key, f in _field_keys(cls).items()}
+
+
+# every accepted config key with its built-in default: the fields of the
+# config dataclasses, and the keys that no dataclass carries
 DEFAULTS = {
-    "data.num_labels": 3,
-    "data.train_size": 20000,
-    "data.test_size": 2000,
-    "data.vocab_size": 1000,
-    "data.tokens_per_segment": 8,
-    "data.noise_token_rate": 1.0,
-    "data.manipulated_fraction": 0.3,
-    "data.bias_proportion": 0.9,
-    "data.seed": 0,
-    "shallow.sample_size": 2000,
-    "shallow.epochs": 50,
-    "shallow.learning_rate": 2e-2,
-    "shallow.batch_size": 32,
-    "shallow.hidden": 64,
-    "shallow.feature_dim": 2064,
-    "shallow.optimizer": "adam",
-    "shallow.adam_beta2": 0.9,
-    "shallow.seed": 0,
+    **_field_defaults(SynthConfig),
+    **_field_defaults(ShallowConfig),
     "shallow.grid_sizes": [500, 1000, 1500, 2000],
     "shallow.grid_epochs": [20, 50, 100],
     "shallow.acc_band": "oracle",
     "shallow.band_width": 0.10,
     "shallow.high_conf_min": 0.90,
-    "train.method": "baseline_ce",
-    "train.epochs": 3,
-    "train.batch_size": 64,
-    "train.learning_rate": 1e-3,
-    "train.optimizer": "adam",
-    "train.adam_beta2": 0.999,
-    "train.hidden": 64,
-    "train.feature_dim": 2064,
-    "train.eval_every": 250,
-    "train.seed": 0,
-    "train.weights_path": "",
+    **_field_defaults(TrainConfig),
     "anneal.enabled": False,
     "anneal.a": 1.0,
     "report.method": "poe",
@@ -139,13 +128,14 @@ def _check_key(key: str):
 
 
 def _is_type_of(value, default) -> bool:
-    """bool takes bool, int takes int, float takes int or float, str takes str."""
+    """bool takes bool, int takes int, float takes a finite int or float, str
+    takes str."""
     if isinstance(default, bool):
         return type(value) is bool
     if isinstance(default, int):
         return type(value) is int
-    if isinstance(default, float):
-        return type(value) in (int, float)
+    if isinstance(default, float):  # finite: no NaN, no inf, no int past a double's range
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
     return type(value) is str
 
 
@@ -171,31 +161,23 @@ def resolve_config(config_path=None, overrides=None, seed=None) -> dict:
     """Defaults, then file, then --set overrides, then --seed / env seed."""
     cfg = dict(DEFAULTS)
     explicit_seeds = set()
-    if config_path:
-        for key, value in parse_config_file(config_path).items():
-            _check_key(key)
-            _check_value(key, value)
-            cfg[key] = value
-            if key.endswith(".seed"):
-                explicit_seeds.add(key)
-    for key, value in (overrides or {}).items():
+    from_file = parse_config_file(config_path).items() if config_path else ()
+    for key, value in [*from_file, *(overrides or {}).items()]:
         _check_key(key)
         _check_value(key, value)
         cfg[key] = value
         if key.endswith(".seed"):
             explicit_seeds.add(key)
+    seed_keys = ("data.seed", "shallow.seed", "train.seed")
     if seed is None and os.environ.get("DEBIAS_FORGE_SEED"):
         try:
             seed = int(os.environ["DEBIAS_FORGE_SEED"])
         except ValueError as e:
             raise ConfigError(f"DEBIAS_FORGE_SEED must be an integer: {e}") from e
         # env var is a default only: explicit config keys win
-        for key in ("data.seed", "shallow.seed", "train.seed"):
-            if key not in explicit_seeds:
-                cfg[key] = seed
-        return cfg
+        seed_keys = [key for key in seed_keys if key not in explicit_seeds]
     if seed is not None:
-        for key in ("data.seed", "shallow.seed", "train.seed"):
+        for key in seed_keys:
             cfg[key] = seed
     return cfg
 
@@ -205,51 +187,12 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def synth_config(cfg: dict) -> SynthConfig:
-    return SynthConfig(
-        num_labels=cfg["data.num_labels"],
-        train_size=cfg["data.train_size"],
-        test_size=cfg["data.test_size"],
-        vocab_size=cfg["data.vocab_size"],
-        tokens_per_segment=cfg["data.tokens_per_segment"],
-        noise_token_rate=cfg["data.noise_token_rate"],
-        manipulated_fraction=cfg["data.manipulated_fraction"],
-        bias_proportion=cfg["data.bias_proportion"],
-        seed=cfg["data.seed"],
-    )
-
-
-def shallow_config(cfg: dict) -> ShallowConfig:
-    return ShallowConfig(
-        sample_size=cfg["shallow.sample_size"],
-        epochs=cfg["shallow.epochs"],
-        learning_rate=cfg["shallow.learning_rate"],
-        batch_size=cfg["shallow.batch_size"],
-        hidden=cfg["shallow.hidden"],
-        feature_dim=cfg["shallow.feature_dim"],
-        optimizer=cfg["shallow.optimizer"],
-        adam_beta2=cfg["shallow.adam_beta2"],
-        seed=cfg["shallow.seed"],
-    )
-
-
-def train_config(cfg: dict) -> TrainConfig:
-    sched = AnnealSchedule(minimum=cfg["anneal.a"], total_steps=1,
-                           enabled=cfg["anneal.enabled"])
-    return TrainConfig(
-        method=cfg["train.method"],
-        epochs=cfg["train.epochs"],
-        batch_size=cfg["train.batch_size"],
-        learning_rate=cfg["train.learning_rate"],
-        optimizer=cfg["train.optimizer"],
-        adam_beta2=cfg["train.adam_beta2"],
-        hidden=cfg["train.hidden"],
-        feature_dim=cfg["train.feature_dim"],
-        anneal=sched,
-        eval_every=cfg["train.eval_every"],
-        seed=cfg["train.seed"],
-        weights_path=cfg["train.weights_path"],
-    )
+def config_of(cls, cfg: dict):
+    """The cls config dataclass with each field read from its config key."""
+    kw = {f.name: cfg[key] for key, f in _field_keys(cls).items()}
+    if cls is TrainConfig:
+        kw["anneal"] = AnnealSchedule(minimum=cfg["anneal.a"], enabled=cfg["anneal.enabled"])
+    return cls(**kw)
 
 
 def shallow_thresholds(cfg: dict, dataset) -> ShallowThresholds:
@@ -307,7 +250,7 @@ def write_json(path, obj):
 def cmd_generate(args) -> int:
     cfg = resolve_config(args.config, args.overrides, args.seed)
     digest = config_digest(cfg)
-    scfg = synth_config(cfg)
+    scfg = config_of(SynthConfig, cfg)
     scfg.validate()
     os.makedirs(args.out_dir, exist_ok=True)
     started = time.time()
@@ -334,7 +277,7 @@ def cmd_shallow(args) -> int:
     cfg = resolve_config(args.config, args.overrides, args.seed)
     digest = config_digest(cfg)
     train = load_dataset(args.data)
-    s_cfg = shallow_config(cfg)
+    s_cfg = config_of(ShallowConfig, cfg)
     thresholds = shallow_thresholds(cfg, train)
     os.makedirs(args.out_dir, exist_ok=True)
     started = time.time()
@@ -368,7 +311,7 @@ def cmd_shallow(args) -> int:
     outputs.append(ckpt_path)
     diag_path = os.path.join(args.out_dir, f"diagnosis-{digest}.json")
     write_json(diag_path, {
-        **diag.to_dict(),
+        **asdict(diag),
         "sample_size": s_cfg.sample_size, "epochs": s_cfg.epochs,
         "acc_band": list(thresholds.acc_band),
     })
@@ -419,7 +362,7 @@ def cmd_identify(args) -> int:
 def cmd_train(args) -> int:
     cfg = resolve_config(args.config, args.overrides, args.seed)
     digest = config_digest(cfg)
-    t_cfg = train_config(cfg)
+    t_cfg = config_of(TrainConfig, cfg)
     t_cfg.validate()
     train = load_dataset(args.data)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -440,8 +383,7 @@ def cmd_train(args) -> int:
         dropped = len(train.examples) - len(kept)
         if dropped:
             logger.info("dropping %d examples without bias weights (shallow subset)", dropped)
-            train = type(train)(examples=kept, num_labels=train.num_labels,
-                                vocab_size=train.vocab_size, provenance=train.provenance)
+            train = replace(train, examples=kept)
 
     eval_suite = None
     if args.eval_dir:
@@ -565,7 +507,8 @@ def cmd_report(args) -> int:
         method = cfg["report.method"]
         a_values = _as_list(cfg["report.a_values"])
         per_seed = _fan_out_seeds(
-            sweep_seed, a_values, (method, synth_config(cfg), train_config(cfg), shallow_config(cfg)),
+            sweep_seed, a_values, (method, config_of(SynthConfig, cfg), config_of(TrainConfig, cfg),
+                                   config_of(ShallowConfig, cfg)),
             _as_list(cfg["report.seeds"]), args.jobs)
         points = sweep_report(a_values, per_seed)
         fields = ["value", "original_mean", "original_std",
@@ -574,8 +517,9 @@ def cmd_report(args) -> int:
 
     elif args.kind == "proportion":
         m_values = _as_list(cfg["report.m_values"])
-        per_seed = _fan_out_seeds(proportion_seed, m_values, (synth_config(cfg), train_config(cfg)),
-                                  _as_list(cfg["report.seeds"]), args.jobs)
+        per_seed = _fan_out_seeds(
+            proportion_seed, m_values, (config_of(SynthConfig, cfg), config_of(TrainConfig, cfg)),
+            _as_list(cfg["report.seeds"]), args.jobs)
         rows = proportion_rows(m_values, per_seed)
         fields = ["m", "seeds", "original_mean", "original_std", "biased_mean",
                   "biased_std", "anti_biased_mean", "anti_biased_std"]
@@ -589,7 +533,7 @@ def cmd_report(args) -> int:
         eval_ds = load_dataset(args.eval) if args.eval else train
         if args.eval:
             inputs.append(args.eval)
-        rows = stability_study(train, shallow_config(cfg), cfg["report.n_runs"], eval_ds)
+        rows = stability_study(train, config_of(ShallowConfig, cfg), cfg["report.n_runs"], eval_ds)
         fields = ["run", "seed", "degenerate", "unseen_acc", "easy_acc", "easy_n",
                   "hard_acc", "hard_n", "overall_acc"]
         ok = all(r["easy_acc"] > r["hard_acc"] for r in rows

@@ -2,7 +2,7 @@
 partitioning, the bias-proportion study, and the annealing sweep.
 """
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,9 +32,6 @@ class ConfidenceHistogram:
     counts: list           # len B
     correct: list          # len B
     correct_fraction: list
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def confidence_histogram(model, split, bin_width: float = 0.05) -> ConfidenceHistogram:
@@ -135,12 +132,8 @@ def identify_stage(train, shallow_cfg: ShallowConfig, seed: int, exclude_subset:
     shallow_model, subset_ids = train_shallow(train, replace(shallow_cfg, seed=seed))
     weights = compute_bias_weights(shallow_model, train,
                                    subset_ids if exclude_subset else set())
-    main_train = train if not exclude_subset else type(train)(
-        examples=[ex for ex in train.examples if ex.id not in subset_ids],
-        num_labels=train.num_labels,
-        vocab_size=train.vocab_size,
-        provenance=train.provenance,
-    )
+    main_train = train if not exclude_subset else replace(
+        train, examples=[ex for ex in train.examples if ex.id not in subset_ids])
     return weights, main_train
 
 
@@ -168,7 +161,7 @@ def sweep_seed(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainCo
     """
     if method == "baseline_ce":
         raise ConfigError("anneal sweep requires a debiasing method")
-    schedules = [AnnealSchedule(minimum=a, total_steps=1, enabled=True) for a in a_values]
+    schedules = [AnnealSchedule(minimum=a, enabled=True) for a in a_values]
     cfg = replace(synth_cfg, seed=seed)
     train = inject_bias(gen_dataset(cfg), m=cfg.bias_proportion,
                         rho=cfg.manipulated_fraction, seed=seed)

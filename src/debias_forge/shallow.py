@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifier import Featurizer, MinibatchRun, Model, forward
+from .classifier import Featurizer, MinibatchRun, Model, check_run_config, forward
 from .errors import ConfigError, DataError, read_json_lines
 from .rng import substream
 from .synthgen import bias_oracle_predict
@@ -37,10 +37,7 @@ class ShallowConfig:
                 f"sample_size {self.sample_size} must be smaller than the "
                 f"training set ({train_size})"
             )
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        check_run_config(self)
 
 
 @dataclass(frozen=True)
@@ -68,12 +65,7 @@ def oracle_band_thresholds(dataset, width: float = 0.10,
                            base: ShallowThresholds = ShallowThresholds()) -> ShallowThresholds:
     """Thresholds whose accuracy band straddles bias-only performance."""
     center = oracle_achievable_accuracy(dataset)
-    return ShallowThresholds(
-        acc_band=(center - width, center + width),
-        high_conf_min=base.high_conf_min,
-        conf_threshold=base.conf_threshold,
-        degenerate_margin=base.degenerate_margin,
-    )
+    return replace(base, acc_band=(center - width, center + width))
 
 
 @dataclass
@@ -84,16 +76,6 @@ class ShallowDiagnosis:
     passed: bool
     mean_confidence: float
     histogram: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "unseen_accuracy": self.unseen_accuracy,
-            "high_conf_fraction": self.high_conf_fraction,
-            "degenerate": self.degenerate,
-            "passed": self.passed,
-            "mean_confidence": self.mean_confidence,
-            "histogram": self.histogram,
-        }
 
 
 @dataclass

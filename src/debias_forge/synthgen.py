@@ -61,9 +61,6 @@ class SynthConfig:
             raise ConfigError("bias_proportion must be in [0, 1]")
 
     # token-range helpers
-    def bias_token_for(self, label: int) -> int:
-        return label
-
     def a_signal_token(self, idx: int) -> int:
         return self.num_labels + idx
 

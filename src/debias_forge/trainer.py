@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import objectives
-from .classifier import Featurizer, MinibatchRun, Model, forward
+from .classifier import Featurizer, MinibatchRun, Model, check_run_config, forward
 from .errors import ConfigError, DataError, read_json_lines
 from .objectives import AnnealSchedule, anneal_alpha
 
@@ -35,14 +35,9 @@ class TrainConfig:
     def validate(self):
         if self.method not in objectives.METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
-        if self.hidden < 1:
-            raise ConfigError("hidden must be >= 1")
+        check_run_config(self)
 
 
 def loss_percentiles(batch_losses):

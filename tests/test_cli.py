@@ -1,17 +1,22 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 import debias_forge
 from debias_forge.cli import (
-    _pieces_per_seed, config_digest, main, parse_config_file, resolve_config, worker_count,
+    DEFAULTS, _parse_override, _pieces_per_seed, config_digest, config_of, main,
+    parse_config_file, resolve_config, worker_count,
 )
 from debias_forge.errors import ConfigError
-from debias_forge.synthgen import load_dataset
-from debias_forge.trainer import read_metrics
+from debias_forge.shallow import ShallowConfig
+from debias_forge.synthgen import SynthConfig, load_dataset
+from debias_forge.trainer import TrainConfig, read_metrics
 
 
 TINY_CONF = """
@@ -236,9 +241,67 @@ def test_resolve_config_value_types():
     for key, value in [("data.train_size", 10.0), ("data.train_size", True),
                        ("anneal.a", "x"), ("anneal.enabled", 1),
                        ("report.seeds", [1, 2.5]), ("report.m_values", "a"),
-                       ("train.weights_path", 12345), ("shallow.acc_band", [0.1, True])]:
+                       ("train.weights_path", 12345), ("shallow.acc_band", [0.1, True]),
+                       # real keys take finite values only
+                       ("shallow.band_width", float("nan")), ("report.bin_width", float("inf")),
+                       ("train.learning_rate", float("-inf")), ("anneal.a", 10**400),
+                       ("report.m_values", [0.5, float("nan")]),
+                       ("shallow.acc_band", [0.1, float("inf")])]:
         with pytest.raises(ConfigError, match=key):
             resolve_config(None, {key: value})
+
+
+@pytest.mark.parametrize("setting", ["shallow.band_width=NaN", "report.bin_width=Infinity",
+                                     "train.learning_rate=-Infinity", "anneal.a=1e999"])
+def test_non_finite_real_exits_2(tmp_path, setting):
+    # the config is refused before any input is read: no data file exists
+    for command in (["shallow", "--data", str(tmp_path / "train.jsonl")],
+                    ["report", "--kind", "histogram"], ["train", "--data", "x.jsonl"]):
+        assert _run(*command, "--out-dir", str(tmp_path), "--quiet", "--set", setting) == 2
+
+
+def test_shallow_hidden_zero_exits_2(conf, tmp_path):
+    assert _run("generate", "--config", conf, "--out-dir", str(tmp_path), "--quiet") == 0
+    assert _run("shallow", "--config", conf, "--data", str(tmp_path / "train.jsonl"),
+                "--out-dir", str(tmp_path), "--quiet", "--set", "shallow.hidden=0") == 2
+
+
+def test_default_config_is_pinned(monkeypatch):
+    # a field added to a config dataclass becomes a config key and changes
+    # every digest, and with it every artifact name
+    monkeypatch.delenv("DEBIAS_FORGE_SEED", raising=False)
+    assert len(DEFAULTS) == 42
+    assert config_digest(resolve_config(None)) == "7589b92487ecca79"
+
+
+# (config dataclass, config key, field name) of each key read from a dataclass field
+FIELD_KEYS = [(cls, f"{section}.{f.name}", f.name)
+              for cls, section in ((SynthConfig, "data"), (ShallowConfig, "shallow"),
+                                   (TrainConfig, "train"))
+              for f in fields(cls) if f.name != "anneal"]
+STRING_VALUES = {"train.method": "poe", "train.optimizer": "sgd",
+                 "shallow.optimizer": "sgd", "train.weights_path": "w.jsonl"}
+
+
+@pytest.mark.parametrize("cls,key,name", FIELD_KEYS, ids=[k for _, k, _ in FIELD_KEYS])
+def test_set_reaches_its_dataclass_field(cls, key, name):
+    default = DEFAULTS[key]
+    value = (STRING_VALUES[key] if isinstance(default, str)
+             else default / 2 if isinstance(default, float) else default + 1)
+    built = config_of(cls, resolve_config(None, dict([_parse_override(f"{key}={value}")])))
+    assert type(getattr(built, name)) is type(default)
+    assert built == replace(config_of(cls, resolve_config(None)), **{name: value})
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    key_list = readme.split("### Key config groups\n\n", 1)[1].split("\n\n", 1)[0]
+    named = set()
+    for item in key_list.split("\n- "):
+        words = re.findall(r"`([^`]+)`", item)
+        group = words[0][:-1] if words[0].endswith(".*") else ""
+        named.update(group + w for w in words)
+    assert [key for key in DEFAULTS if key not in named] == []
 
 
 def test_identify_is_deterministic(pipeline):

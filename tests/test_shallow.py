@@ -35,6 +35,10 @@ def test_config_validation(tiny_train):
         replace(FAST, sample_size=len(tiny_train)).validate(train_size=len(tiny_train))
     with pytest.raises(ConfigError):
         replace(FAST, epochs=0).validate()
+    for bad in [{"batch_size": 0}, {"hidden": 0}, {"learning_rate": 0.0},
+                {"adam_beta2": 1.5}, {"adam_beta2": 1.0}]:
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            replace(FAST, **bad).validate()
 
 
 def test_train_shallow_deterministic(tiny_train):

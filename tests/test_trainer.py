@@ -30,6 +30,11 @@ def test_config_validation():
         replace(FAST_TRAIN, epochs=0).validate()
     with pytest.raises(ConfigError):
         replace(FAST_TRAIN, eval_every=0).validate()
+    for bad in [{"batch_size": 0}, {"hidden": 0}, {"learning_rate": 0.0},
+                {"learning_rate": -1e-3}, {"adam_beta2": 1.0}, {"adam_beta2": -0.1}]:
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            replace(FAST_TRAIN, **bad).validate()
+    replace(FAST_TRAIN, adam_beta2=0.0).validate()
 
 
 def test_loss_percentiles_oracle(rng):
