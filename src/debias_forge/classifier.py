@@ -29,6 +29,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, NumericError, SchemaError, open_text
 from .rng import substream
+from .synthgen import Dataset
 
 LOG_EPS = 1e-12
 # rows featurized per numpy block in Featurizer.matrix
@@ -426,7 +427,10 @@ class Model:
     meta: dict = field(default_factory=dict)
 
     def predict_proba(self, examples) -> np.ndarray:
-        X = self.featurizer.matrix(examples)
+        """Class probabilities of a Dataset (through its kept matrix) or of a
+        list of Examples."""
+        X = (examples.matrix(self.featurizer) if isinstance(examples, Dataset)
+             else self.featurizer.matrix(examples))
         return forward(self.params, X)
 
     def predict(self, examples) -> np.ndarray:

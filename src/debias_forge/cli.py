@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import asdict, fields, replace
 
 from . import __version__
 from .classifier import load_checkpoint, save_checkpoint
@@ -196,38 +196,33 @@ def config_of(cls, cfg: dict):
 
 
 def shallow_thresholds(cfg: dict, dataset) -> ShallowThresholds:
-    base = ShallowThresholds(high_conf_min=cfg["shallow.high_conf_min"])
-    band = cfg[BAND_KEY]
+    """ConfigError on a band that no accuracy can pass; the oracle band's
+    ends may lie outside [0, 1]."""
+    width, high_conf_min, band = (cfg[k] for k in ("shallow.band_width",
+                                                   "shallow.high_conf_min", BAND_KEY))
+    if width < 0:
+        raise ConfigError(f"shallow.band_width must be >= 0, got {width}")
+    if not 0 <= high_conf_min <= 1:
+        raise ConfigError(f"shallow.high_conf_min must lie in [0, 1], got {high_conf_min}")
+    if band != "oracle" and not 0 <= band[0] <= band[1] <= 1:
+        raise ConfigError(f"{BAND_KEY} needs 0 <= lo <= hi <= 1, got {band}")
+    base = ShallowThresholds(high_conf_min=high_conf_min)
     if band == "oracle":
-        return oracle_band_thresholds(dataset, width=cfg["shallow.band_width"], base=base)
+        return oracle_band_thresholds(dataset, width=width, base=base)
     return replace(base, acc_band=(float(band[0]), float(band[1])))
 
 
 # ---------------------------------------------------------------------------
 # manifests and report output
 
-@dataclass
-class RunManifest:
-    digest: str
-    command: str
-    inputs: list
-    outputs: list
-    seed: int
-    version: str
-    started_at: float
-    finished_at: float
-
-
 def write_manifest(out_dir, command, digest, inputs, outputs, seed, started_at):
-    man = RunManifest(
-        digest=digest, command=command,
-        inputs=[str(p) for p in inputs], outputs=[str(p) for p in outputs],
-        seed=seed, version=__version__,
-        started_at=started_at, finished_at=time.time(),
-    )
     path = os.path.join(out_dir, f"{command}-{digest}.manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(man), fh, sort_keys=True, indent=2)
+    write_json(path, {
+        "digest": digest, "command": command,
+        "inputs": [str(p) for p in inputs], "outputs": [str(p) for p in outputs],
+        "seed": seed, "version": __version__,
+        "started_at": started_at, "finished_at": time.time(),
+    })
     return path
 
 
@@ -498,7 +493,7 @@ def cmd_report(args) -> int:
                  "count": hist.counts[i], "correct": hist.correct[i],
                  "correct_fraction": hist.correct_fraction[i]}
                 for i in range(len(hist.counts))]
-        probs = model.predict_proba(split.examples)
+        probs = model.predict_proba(split)
         mean_conf = float(probs.max(axis=1).mean())
         emit("histogram", ["bin_lo", "bin_hi", "count", "correct", "correct_fraction"],
              rows, {"mean_confidence": mean_conf, "examples": len(split)})
@@ -550,16 +545,12 @@ def cmd_report(args) -> int:
             path = os.path.join(args.suite_dir, f"eval_{split}.jsonl")
             suite[split] = load_dataset(path)
             inputs.append(path)
-        rows, features = [], {}  # (featurizer, split) -> that split's feature matrix
+        rows = []
         for path in args.checkpoint_list:
             model = load_checkpoint(path)
             inputs.append(path)
             row = {"method": model.meta.get("method", os.path.basename(path))}
-            for split, ds in suite.items():
-                key = (model.featurizer, split)
-                if key not in features:
-                    features[key] = model.featurizer.matrix(ds.examples)
-                row[split] = accuracy(model, ds, features[key])
+            row.update({split: accuracy(model, ds) for split, ds in suite.items()})
             rows.append(row)
         emit("compare", ["method", "original", "biased", "anti_biased"], rows,
              {"methods": [r["method"] for r in rows]})

@@ -6,7 +6,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classifier import forward
 from .errors import ConfigError, DataError
 from .objectives import AnnealSchedule
 from .shallow import ShallowConfig, compute_bias_weights, train_shallow
@@ -14,16 +13,13 @@ from .synthgen import SynthConfig, bias_oracle_predict, gen_dataset, inject_bias
 from .trainer import TrainConfig, train_main, train_teacher
 
 
-def accuracy(model, split, features=None) -> float:
+def accuracy(model, split) -> float:
     """Fraction of argmax predictions matching gold (ties -> lowest label).
-    features, if given, is split's feature matrix under model.featurizer."""
-    examples = split.examples if hasattr(split, "examples") else list(split)
-    if not examples:
+    split: Dataset or list of Examples."""
+    if not len(split):
         raise DataError("empty split")
-    pred = (model.predict(examples) if features is None
-            else np.argmax(forward(model.params, features), axis=1))
-    gold = np.array([ex.label for ex in examples])
-    return float(np.mean(pred == gold))
+    gold = np.array([ex.label for ex in split])
+    return float(np.mean(model.predict(split) == gold))
 
 
 @dataclass
@@ -39,13 +35,12 @@ def confidence_histogram(model, split, bin_width: float = 0.05) -> ConfidenceHis
     correct-prediction counts."""
     if bin_width <= 0 or bin_width > 1:
         raise ConfigError("bin_width must be in (0, 1]")
-    examples = split.examples if hasattr(split, "examples") else list(split)
-    if not examples:
+    if not len(split):
         raise DataError("empty split")
-    probs = model.predict_proba(examples)
+    probs = model.predict_proba(split)
     pred = np.argmax(probs, axis=1)
-    maxp = probs[np.arange(len(examples)), pred]
-    gold = np.array([ex.label for ex in examples])
+    maxp = probs[np.arange(len(split)), pred]
+    gold = np.array([ex.label for ex in split])
 
     lo = 1.0 / model.num_labels
     edges = [lo]
@@ -102,12 +97,11 @@ def proportion_seed(m_values, synth_cfg: SynthConfig, train_cfg: TrainConfig, se
     clean = gen_dataset(cfg)
     suite = make_eval_suite(cfg)
     run_cfg = replace(train_cfg, method="baseline_ce", seed=seed)
-    out = []
-    for m in m_values:
-        train = inject_bias(clean, m=m, rho=cfg.manipulated_fraction, seed=seed)
-        model, _ = train_main(train, None, run_cfg)
-        out.append({split: accuracy(model, ds) for split, ds in suite.items()})
-    return out
+    # train every model before scoring any, so that the suite's matrices are
+    # not held while a training set's matrix is
+    models = [train_main(inject_bias(clean, m=m, rho=cfg.manipulated_fraction, seed=seed),
+                         None, run_cfg)[0] for m in m_values]
+    return [{split: accuracy(model, ds) for split, ds in suite.items()} for model in models]
 
 
 def proportion_rows(m_values, per_seed) -> list:
@@ -137,19 +131,6 @@ def identify_stage(train, shallow_cfg: ShallowConfig, seed: int, exclude_subset:
     return weights, main_train
 
 
-def debias_pipeline(train, suite, method: str, train_cfg: TrainConfig,
-                    shallow_cfg: ShallowConfig, seed: int, exclude_subset: bool = True):
-    """Shallow -> identify -> debiased main training; returns (model, metrics).
-
-    The main model trains on the set identify_stage returns. The teacher for
-    conf_reg is trained on the same set with standard cross-entropy.
-    """
-    weights, main_train = identify_stage(train, shallow_cfg, seed, exclude_subset)
-    run_cfg = replace(train_cfg, method=method, seed=seed)
-    teacher = train_teacher(main_train, run_cfg) if method == "conf_reg" else None
-    return train_main(main_train, weights, run_cfg, eval_suite=suite, teacher=teacher)
-
-
 def sweep_seed(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainConfig,
                shallow_cfg: ShallowConfig, seed: int):
     """Debiased accuracy on the original and anti-biased splits at each
@@ -169,12 +150,11 @@ def sweep_seed(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainCo
     weights, main_train = identify_stage(train, shallow_cfg, seed)
     run_cfg = replace(train_cfg, method=method, seed=seed)
     teacher = train_teacher(main_train, run_cfg) if method == "conf_reg" else None
-    out = []
-    for sched in schedules:
-        model, _ = train_main(main_train, weights, replace(run_cfg, anneal=sched),
-                              teacher=teacher)
-        out.append({split: accuracy(model, suite[split]) for split in ("original", "anti_biased")})
-    return out
+    # as in proportion_seed: train every model, then score them all
+    models = [train_main(main_train, weights, replace(run_cfg, anneal=sched), teacher=teacher)[0]
+              for sched in schedules]
+    return [{split: accuracy(model, suite[split]) for split in ("original", "anti_biased")}
+            for model in models]
 
 
 def sweep_report(a_values, per_seed) -> list:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifier import Featurizer, MinibatchRun, Model, check_run_config, forward
+from .classifier import Featurizer, MinibatchRun, Model, check_run_config
 from .errors import ConfigError, DataError, read_json_lines
 from .rng import substream
 from .synthgen import bias_oracle_predict
@@ -50,15 +50,14 @@ class ShallowThresholds:
 
 def oracle_achievable_accuracy(dataset) -> float:
     """Expected accuracy of the bias oracle, counting abstentions as chance."""
-    examples = dataset.examples if hasattr(dataset, "examples") else list(dataset)
-    if not examples:
+    if not len(dataset):
         raise DataError("empty dataset")
     chance = 1.0 / dataset.num_labels
     total = 0.0
-    for ex in examples:
+    for ex in dataset:
         pred = bias_oracle_predict(ex)
         total += chance if pred is None else float(pred == ex.label)
-    return total / len(examples)
+    return total / len(dataset)
 
 
 def oracle_band_thresholds(dataset, width: float = 0.10,
@@ -157,20 +156,17 @@ def compute_bias_weights(shallow: Model, train, subset_ids) -> BiasWeights:
     return BiasWeights(entries=entries, num_labels=train.num_labels)
 
 
-def validate_shallow(shallow: Model, unseen, thresholds: ShallowThresholds = ShallowThresholds(),
-                     X=None):
+def validate_shallow(shallow: Model, unseen, thresholds: ShallowThresholds = ShallowThresholds()):
     """Accuracy / confidence diagnosis on held-out unseen examples.
 
     unseen: Dataset or list of Examples, disjoint from the shallow subset.
-    X: unseen's feature matrix under shallow's featurizer, if already built.
     """
-    examples = unseen.examples if hasattr(unseen, "examples") else list(unseen)
-    if not examples:
+    if not len(unseen):
         raise DataError("empty unseen set")
-    probs = shallow.predict_proba(examples) if X is None else forward(shallow.params, X)
-    y = np.array([ex.label for ex in examples], dtype=np.int64)
+    probs = shallow.predict_proba(unseen)
+    y = np.array([ex.label for ex in unseen], dtype=np.int64)
     pred = np.argmax(probs, axis=1)
-    maxp = probs[np.arange(len(examples)), pred]
+    maxp = probs[np.arange(len(unseen)), pred]
     acc = float(np.mean(pred == y))
     high_conf = float(np.mean(maxp > thresholds.conf_threshold))
     chance = 1.0 / shallow.num_labels
@@ -202,7 +198,7 @@ def grid_search_shallow(train, sizes, epoch_counts, base_cfg: ShallowConfig = Sh
     Each sample size is trained once: its cells, in ascending epochs, continue
     one run, so the cost is the largest epoch count per size and every cell
     equals a fresh train_shallow run of its own. The size's unseen examples
-    are featurized once and score all its cells.
+    are one Dataset, so they are featurized once and score all its cells.
 
     Returns (best ShallowConfig or None, report rows, (model, subset ids) of
     the best cell or None). The first passing cell under (smallest
@@ -216,14 +212,14 @@ def grid_search_shallow(train, sizes, epoch_counts, base_cfg: ShallowConfig = Sh
     for n_s in sorted(sizes):
         cfgs = [replace(base_cfg, sample_size=n_s, epochs=e_s) for e_s in sorted(epoch_counts)]
         run = ShallowRun.start(train, cfgs[0])
-        unseen = [ex for ex in train.examples if ex.id not in run.subset_ids][:max_unseen]
+        unseen = replace(train, examples=[ex for ex in train.examples
+                                          if ex.id not in run.subset_ids][:max_unseen])
         fits = [train_shallow(train, cfg, run=run) for cfg in cfgs]
         # score only once the optimizer state is released, to keep peak memory
         # down; the cells share the run's featurizer
         del run
-        X_unseen = fits[0][0].featurizer.matrix(unseen)
         for cfg, (model, subset_ids) in zip(cfgs, fits):
-            diag = validate_shallow(model, unseen, thresholds, X=X_unseen)
+            diag = validate_shallow(model, unseen, thresholds)
             rows.append({
                 "n_s": n_s, "e_s": cfg.epochs,
                 "unseen_acc": diag.unseen_accuracy,
@@ -233,7 +229,7 @@ def grid_search_shallow(train, sizes, epoch_counts, base_cfg: ShallowConfig = Sh
             })
             if diag.passed and best is None:
                 best, best_fit = cfg, (model, subset_ids)
-        del X_unseen  # nor hold it while the next size trains
+        del unseen  # nor hold its matrix while the next size trains
     return best, rows, best_fit
 
 
@@ -242,8 +238,8 @@ def stability_study(train, cfg: ShallowConfig, n_runs: int, eval_ds):
     of eval_ds. Returns one row per run."""
     if n_runs < 2:
         raise ConfigError("stability study needs n_runs >= 2")
-    easy = [ex for ex in eval_ds.examples if bias_oracle_predict(ex) == ex.label]
-    hard = [ex for ex in eval_ds.examples if bias_oracle_predict(ex) != ex.label]
+    gold = eval_ds.labels()
+    easy = np.array([bias_oracle_predict(ex) == ex.label for ex in eval_ds], dtype=bool)
     rows = []
     for run in range(n_runs):
         run_cfg = replace(cfg, seed=cfg.seed + 1000 * run)
@@ -252,17 +248,11 @@ def stability_study(train, cfg: ShallowConfig, n_runs: int, eval_ds):
         diag = validate_shallow(model, unseen)
         row = {"run": run, "seed": run_cfg.seed, "degenerate": diag.degenerate,
                "unseen_acc": diag.unseen_accuracy}
-        for name, part in (("easy", easy), ("hard", hard)):
-            if part:
-                pred = model.predict(part)
-                gold = np.array([ex.label for ex in part])
-                row[f"{name}_acc"] = float(np.mean(pred == gold))
-                row[f"{name}_n"] = len(part)
-            else:
-                row[f"{name}_acc"] = math.nan
-                row[f"{name}_n"] = 0
-        pred = model.predict(eval_ds.examples)
-        row["overall_acc"] = float(np.mean(pred == eval_ds.labels()))
+        correct = model.predict(eval_ds) == gold
+        for name, part in (("easy", easy), ("hard", ~easy)):
+            row[f"{name}_acc"] = float(np.mean(correct[part])) if part.any() else math.nan
+            row[f"{name}_n"] = int(part.sum())
+        row["overall_acc"] = float(np.mean(correct))
         rows.append(row)
     return rows
 

@@ -85,15 +85,29 @@ class Example(NamedTuple):
     bias_token: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
+    """A list of Examples and their label and vocabulary sizes. matrix()
+    featurizes the examples once per featurizer and keeps the matrix as long
+    as the Dataset; a replace()d Dataset starts with none."""
     examples: list
     num_labels: int
     vocab_size: int
     provenance: dict = field(default_factory=dict)
+    _matrices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __len__(self):
         return len(self.examples)
+
+    def __iter__(self):
+        return iter(self.examples)
+
+    def matrix(self, featurizer):
+        """featurizer.matrix(self.examples), built on the first call for each
+        equal featurizer."""
+        if featurizer not in self._matrices:
+            self._matrices[featurizer] = featurizer.matrix(self.examples)
+        return self._matrices[featurizer]
 
     def labels(self) -> np.ndarray:
         return np.array([ex.label for ex in self.examples], dtype=np.int64)

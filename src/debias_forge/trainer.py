@@ -65,9 +65,9 @@ def train_main(train, weights, cfg: TrainConfig, eval_suite=None, teacher=None):
     cfg.validate()
     K = train.num_labels
     featurizer = Featurizer(vocab_size=train.vocab_size, dim=cfg.feature_dim)
-    X = featurizer.matrix(train.examples)
+    X = train.matrix(featurizer)
     y = train.labels()
-    n = len(train.examples)
+    n = len(train)
 
     p_b = None
     if cfg.method != "baseline_ce":
@@ -84,9 +84,9 @@ def train_main(train, weights, cfg: TrainConfig, eval_suite=None, teacher=None):
     if cfg.method == "conf_reg":
         if teacher is None:
             raise ConfigError("method 'conf_reg' requires a trained teacher")
-        p_t = forward(teacher.params, X)  # frozen, precomputed once
+        p_t = teacher.predict_proba(train)  # frozen, precomputed once
 
-    eval_matrices = {split: (featurizer.matrix(ds.examples), ds.labels())
+    eval_matrices = {split: (ds.matrix(featurizer), ds.labels())
                      for split, ds in (eval_suite or {}).items()}
 
     run = MinibatchRun(X, K, cfg)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from debias_forge.classifier import Featurizer
 from debias_forge.synthgen import SynthConfig, gen_dataset, inject_bias, make_eval_suite
 
 # `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
@@ -43,6 +44,20 @@ def tiny_suite():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(123)
+
+
+@pytest.fixture()
+def featurized(monkeypatch):
+    """The number of examples of each Featurizer.matrix call, in call order."""
+    lengths = []
+    matrix = Featurizer.matrix
+
+    def counting(self, examples):
+        lengths.append(len(examples))
+        return matrix(self, examples)
+
+    monkeypatch.setattr(Featurizer, "matrix", counting)
+    return lengths
 
 
 # collected by the acceptance tests; echoed after the run so the per-criterion

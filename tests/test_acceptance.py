@@ -63,8 +63,9 @@ def _biased_set(rho, m, seed):
 
 
 def _debias(identified, method, cfg):
-    """debias_pipeline's training stage on an identify_stage result, so that
-    a check identifies once per seed and trains every method on it."""
+    """Debiased training on an identify_stage result, with a conf_reg
+    teacher trained on the same set, so that a check identifies once per
+    seed and trains every method on it."""
     weights, main_train = identified
     cfg = replace(cfg, method=method)
     teacher = train_teacher(main_train, cfg) if method == "conf_reg" else None

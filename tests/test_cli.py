@@ -266,6 +266,33 @@ def test_shallow_hidden_zero_exits_2(conf, tmp_path):
                 "--out-dir", str(tmp_path), "--quiet", "--set", "shallow.hidden=0") == 2
 
 
+@pytest.mark.parametrize("grid,setting", [
+    (True, "shallow.band_width=-3"),
+    (False, "shallow.band_width=-3"),
+    (False, "shallow.acc_band=0.9,0.1"),
+    (False, "shallow.acc_band=1.5,2"),
+    (False, "shallow.high_conf_min=1.5"),
+])
+def test_empty_shallow_band_exits_2(conf, tmp_path, grid, setting):
+    assert _run("generate", "--config", conf, "--out-dir", str(tmp_path), "--quiet") == 0
+    out = tmp_path / "shallow"
+    argv = ["shallow", "--config", conf, "--data", str(tmp_path / "train.jsonl"),
+            "--out-dir", str(out), "--quiet", "--set", setting]
+    if grid:
+        argv += ["--grid", "--set", "shallow.grid_sizes=150", "--set", "shallow.grid_epochs=1"]
+    assert _run(*argv) == 2
+    assert not out.exists()  # refused before any training
+
+
+def test_oracle_band_may_reach_past_0_and_1(conf, tmp_path):
+    assert _run("generate", "--config", conf, "--out-dir", str(tmp_path), "--quiet") == 0
+    assert _run("shallow", "--config", conf, "--data", str(tmp_path / "train.jsonl"),
+                "--out-dir", str(tmp_path), "--quiet", "--set", "shallow.band_width=2") == 0
+    (diag,) = tmp_path.glob("diagnosis-*.json")
+    lo, hi = json.loads(diag.read_text())["acc_band"]
+    assert lo < 0 and hi > 1
+
+
 def test_default_config_is_pinned(monkeypatch):
     # a field added to a config dataclass becomes a config key and changes
     # every digest, and with it every artifact name
@@ -437,6 +464,16 @@ def test_conf_reg_teacher_cached(pipeline):
     # refusing auto-training must fail before any work when cache is absent
     teachers[0].unlink()
     assert _run(*args, "--no-auto-teacher") == 2
+
+
+def test_conf_reg_train_featurizes_main_set_once(pipeline, featurized):
+    out = pipeline["out"]
+    assert _run("train", "--config", pipeline["conf"], "--set", "train.method=conf_reg",
+                "--data", str(out / "train.jsonl"), "--weights", str(pipeline["weights"]),
+                "--out-dir", str(out), "--seed", "5", "--quiet") == 0
+    # the teacher and the main model share the main-training set's matrix
+    n_main = len(pipeline["weights"].read_text().splitlines())
+    assert featurized == [n_main]
 
 
 def test_shallow_grid_no_pass_exits_5(pipeline, tmp_path):

@@ -5,8 +5,8 @@ import pytest
 
 from debias_forge.errors import ConfigError, DataError
 from debias_forge.evaluation import (
-    accuracy, bias_proportion_study, confidence_histogram, debias_pipeline,
-    easy_hard_partition, identify_stage, sweep_report, sweep_seed,
+    accuracy, bias_proportion_study, confidence_histogram, easy_hard_partition,
+    identify_stage, proportion_seed, sweep_report, sweep_seed,
 )
 from debias_forge.objectives import AnnealSchedule
 from debias_forge.shallow import ShallowConfig
@@ -169,6 +169,12 @@ def test_bias_proportion_study_equals_naive_loop(tiny_cfg):
     assert bias_proportion_study(ms, tiny_cfg, TINY_TRAIN, SEEDS) == expected
 
 
+def test_proportion_seed_featurizes_each_split_once(tiny_cfg, featurized):
+    proportion_seed([0.6, 0.9], tiny_cfg, TINY_TRAIN, 1)
+    # one training set per m, then each of the three suite splits once
+    assert featurized == [tiny_cfg.train_size] * 2 + [tiny_cfg.test_size] * 3
+
+
 def test_anneal_sweep_equals_naive_loop(tiny_cfg):
     a_values = [1.0, 0.0]
     expected = []
@@ -179,8 +185,11 @@ def test_anneal_sweep_equals_naive_loop(tiny_cfg):
             train = inject_bias(gen_dataset(cfg), m=cfg.bias_proportion,
                                 rho=cfg.manipulated_fraction, seed=seed)
             suite = make_eval_suite(cfg)
-            run_cfg = replace(TINY_TRAIN, anneal=AnnealSchedule(minimum=a, enabled=True))
-            model, _ = debias_pipeline(train, None, "conf_reg", run_cfg, TINY_SHALLOW, seed)
+            weights, main_train = identify_stage(train, TINY_SHALLOW, seed)
+            run_cfg = replace(TINY_TRAIN, method="conf_reg", seed=seed,
+                              anneal=AnnealSchedule(minimum=a, enabled=True))
+            teacher = train_teacher(main_train, run_cfg)
+            model, _ = train_main(main_train, weights, run_cfg, teacher=teacher)
             orig.append(accuracy(model, suite["original"]))
             anti.append(accuracy(model, suite["anti_biased"]))
         row = {"value": a, "seeds": len(SEEDS)}
@@ -197,17 +206,3 @@ def test_anneal_sweep_rejects_baseline_and_empty_seeds(tiny_cfg):
         sweep_seed([1.0], "baseline_ce", tiny_cfg, TINY_TRAIN, TINY_SHALLOW, 1)
     with pytest.raises(ConfigError):
         sweep_report([1.0], [])
-
-
-@pytest.mark.parametrize("method", ["poe", "conf_reg"])
-def test_debias_pipeline_equals_identify_then_train(tiny_train, tiny_suite, method):
-    # the acceptance checks identify once per seed and train each method on it
-    model, log = debias_pipeline(tiny_train, tiny_suite, method, TINY_TRAIN, TINY_SHALLOW, 4)
-    weights, main_train = identify_stage(tiny_train, TINY_SHALLOW, 4)
-    run_cfg = replace(TINY_TRAIN, method=method, seed=4)
-    teacher = train_teacher(main_train, run_cfg) if method == "conf_reg" else None
-    ref, ref_log = train_main(main_train, weights, run_cfg, eval_suite=tiny_suite,
-                              teacher=teacher)
-    assert log == ref_log
-    for name, arr in ref.params.arrays().items():
-        assert arr.tobytes() == model.params.arrays()[name].tobytes()

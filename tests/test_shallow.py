@@ -116,15 +116,7 @@ def test_grid_search_prefers_smaller_cells(tiny_train):
     assert all(r["pass"] for r in rows)
 
 
-def test_grid_search_featurizes_each_sizes_unseen_once(tiny_train, monkeypatch):
-    featurized = []
-    matrix = Featurizer.matrix
-
-    def counting(self, examples):
-        featurized.append(len(examples))
-        return matrix(self, examples)
-
-    monkeypatch.setattr(Featurizer, "matrix", counting)
+def test_grid_search_featurizes_each_sizes_unseen_once(tiny_train, featurized):
     wide = ShallowThresholds(acc_band=(0.0, 1.0), high_conf_min=0.0, degenerate_margin=0.0)
     grid_search_shallow(tiny_train, [400, 200], [2, 1], base_cfg=FAST, thresholds=wide)
     # per size: its subset, then its unseen examples once for both its cells
@@ -235,6 +227,13 @@ def test_stability_study_shapes(tiny_train, tiny_suite):
         assert 0 <= r["overall_acc"] <= 1
     with pytest.raises(ConfigError):
         stability_study(tiny_train, FAST, 1, mixed)
+
+
+def test_stability_study_featurizes_eval_ds_once(tiny_train, featurized):
+    eval_ds = replace(tiny_train, examples=tiny_train.examples[:300])
+    stability_study(tiny_train, FAST, 2, eval_ds)
+    # per run: its subset and its unseen examples; eval_ds once for the study
+    assert featurized == [200, 600, 300, 200, 600]
 
 
 def test_bias_weights_roundtrip(tiny_train, tmp_path):

@@ -1,11 +1,12 @@
 import collections
 import itertools
 import json
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
 
+from debias_forge.classifier import Featurizer
 from debias_forge.errors import ConfigError, DataError
 from debias_forge.rng import substream
 from debias_forge.synthgen import (
@@ -123,6 +124,33 @@ def test_bias_oracle(tiny_suite):
                for ex in tiny_suite["biased"].examples)
     assert all(bias_oracle_predict(ex) != ex.label
                for ex in tiny_suite["anti_biased"].examples)
+
+
+def test_dataset_matrix_built_once_per_featurizer(tiny_train):
+    ds = replace(tiny_train)  # a fresh Dataset: the session fixture keeps its own matrices
+    X = ds.matrix(Featurizer(tiny_train.vocab_size, 130))
+    assert ds.matrix(Featurizer(tiny_train.vocab_size, 130)) is X
+    other = ds.matrix(Featurizer(tiny_train.vocab_size, 140))
+    assert other is not X and other.shape == (len(ds), 140)
+    ref = Featurizer(tiny_train.vocab_size, 130).matrix(tiny_train.examples)
+    for a in ("data", "indices", "indptr"):
+        assert getattr(X, a).dtype == getattr(ref, a).dtype
+        assert getattr(X, a).tobytes() == getattr(ref, a).tobytes()
+    assert X.shape == ref.shape
+    assert list(ds) == tiny_train.examples
+
+
+def test_replaced_dataset_starts_without_matrix(tiny_train):
+    featurizer = Featurizer(tiny_train.vocab_size, 130)
+    ds = replace(tiny_train)
+    X = ds.matrix(featurizer)
+    again = replace(ds)
+    assert again == ds and again._matrices == {}
+    assert again.matrix(featurizer) is not X
+    half = replace(ds, examples=ds.examples[:100])
+    assert half.matrix(featurizer).shape[0] == 100
+    with pytest.raises(FrozenInstanceError):
+        ds.examples = []
 
 
 def test_dataset_roundtrip_bytes(tiny_train, tmp_path):
