@@ -29,7 +29,6 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, NumericError, SchemaError, open_text
 from .rng import substream
-from .synthgen import Dataset
 
 LOG_EPS = 1e-12
 # rows featurized per numpy block in Featurizer.matrix
@@ -426,15 +425,12 @@ class Model:
     num_labels: int
     meta: dict = field(default_factory=dict)
 
-    def predict_proba(self, examples) -> np.ndarray:
-        """Class probabilities of a Dataset (through its kept matrix) or of a
-        list of Examples."""
-        X = (examples.matrix(self.featurizer) if isinstance(examples, Dataset)
-             else self.featurizer.matrix(examples))
-        return forward(self.params, X)
+    def predict_proba(self, ds) -> np.ndarray:
+        """Class probabilities of a Dataset's examples, through its kept matrix."""
+        return forward(self.params, ds.matrix(self.featurizer))
 
-    def predict(self, examples) -> np.ndarray:
-        return np.argmax(self.predict_proba(examples), axis=1)
+    def predict(self, ds) -> np.ndarray:
+        return np.argmax(self.predict_proba(ds), axis=1)
 
 
 def save_checkpoint(model: Model, path, step: int = 0, config_digest: str = ""):
@@ -476,6 +472,9 @@ def load_checkpoint(path) -> Model:
         )
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"{path}: malformed checkpoint: {e}") from e
+    if not all(type(v) is int for v in (D, H, K, vocab_size)):
+        raise SchemaError(f"{path}: meta D, H, K and vocab_size must be integers, "
+                          f"got {[D, H, K, vocab_size]!r}")
     if params.W1.shape != (D, H) or params.b1.shape != (H,) \
             or params.W2.shape != (H, K) or params.b2.shape != (K,):
         raise SchemaError(

@@ -32,7 +32,7 @@ from .evaluation import (
 )
 from .objectives import METHODS, AnnealSchedule
 from .shallow import (
-    ShallowConfig, ShallowThresholds, compute_bias_weights,
+    MAX_UNSEEN, ShallowConfig, ShallowThresholds, compute_bias_weights,
     grid_search_shallow, load_bias_weights, oracle_band_thresholds,
     save_bias_weights, stability_study, train_shallow, validate_shallow,
 )
@@ -274,15 +274,16 @@ def cmd_shallow(args) -> int:
     train = load_dataset(args.data)
     s_cfg = config_of(ShallowConfig, cfg)
     thresholds = shallow_thresholds(cfg, train)
-    os.makedirs(args.out_dir, exist_ok=True)
     started = time.time()
     outputs = []
 
+    # the out dir is made once a model is trained, so a refused config leaves none
     if args.grid:
         best, rows, best_fit = grid_search_shallow(
             train, _as_list(cfg["shallow.grid_sizes"]), _as_list(cfg["shallow.grid_epochs"]),
             base_cfg=s_cfg, thresholds=thresholds,
         )
+        os.makedirs(args.out_dir, exist_ok=True)
         grid_path = os.path.join(args.out_dir, f"grid-{digest}.csv")
         write_csv(grid_path, ["n_s", "e_s", "unseen_acc", "high_conf_frac", "degenerate", "pass"], rows)
         outputs.append(grid_path)
@@ -294,12 +295,12 @@ def cmd_shallow(args) -> int:
                            s_cfg.seed, started)
             raise DegenerateShallowError("no grid cell passed the selection thresholds")
         s_cfg = best
-        model, subset_ids = best_fit
+        model, diag = best_fit
         logger.info("grid selected sample_size=%d epochs=%d", best.sample_size, best.epochs)
     else:
         model, subset_ids = train_shallow(train, s_cfg)
-    unseen = [ex for ex in train.examples if ex.id not in subset_ids][:5000]
-    diag = validate_shallow(model, unseen, thresholds)
+        diag = validate_shallow(model, train.without(subset_ids, MAX_UNSEEN), thresholds)
+        os.makedirs(args.out_dir, exist_ok=True)
 
     ckpt_path = os.path.join(args.out_dir, f"shallow-{digest}.ckpt.json")
     save_checkpoint(model, ckpt_path, config_digest=digest)
@@ -338,13 +339,16 @@ def cmd_identify(args) -> int:
             f"vocabulary mismatch: checkpoint expects {model.featurizer.vocab_size}, "
             f"dataset has {train.vocab_size}"
         )
-    subset_ids = set(model.meta.get("subset_ids", []))
+    subset_ids = model.meta.get("subset_ids", [])
+    if not (type(subset_ids) is list and all(type(i) is int for i in subset_ids)):
+        raise SchemaError(f"{args.checkpoint}: meta.subset_ids must be a list of "
+                          f"integers, got {subset_ids!r:.80}")
     if not subset_ids:
         raise DataError(f"{args.checkpoint}: no subset_ids recorded; "
                         "was this checkpoint produced by the shallow command?")
     os.makedirs(args.out_dir, exist_ok=True)
     started = time.time()
-    weights = compute_bias_weights(model, train, subset_ids)
+    weights = compute_bias_weights(model, train.without(set(subset_ids)))
     path = os.path.join(args.out_dir, f"weights-{digest}.jsonl")
     save_bias_weights(weights, path)
     write_manifest(args.out_dir, "identify", digest,

@@ -3,23 +3,23 @@ partitioning, the bias-proportion study, and the annealing sweep.
 """
 
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .objectives import AnnealSchedule
 from .shallow import ShallowConfig, compute_bias_weights, train_shallow
-from .synthgen import SynthConfig, bias_oracle_predict, gen_dataset, inject_bias, make_eval_suite
+from .synthgen import SynthConfig, gen_dataset, inject_bias, make_eval_suite
 from .trainer import TrainConfig, train_main, train_teacher
 
 
 def accuracy(model, split) -> float:
-    """Fraction of argmax predictions matching gold (ties -> lowest label).
-    split: Dataset or list of Examples."""
+    """Fraction of argmax predictions on a Dataset matching gold (ties ->
+    lowest label)."""
     if not len(split):
         raise DataError("empty split")
-    gold = np.array([ex.label for ex in split])
-    return float(np.mean(model.predict(split) == gold))
+    return float(np.mean(model.predict(split) == split.labels()))
 
 
 @dataclass
@@ -40,7 +40,7 @@ def confidence_histogram(model, split, bin_width: float = 0.05) -> ConfidenceHis
     probs = model.predict_proba(split)
     pred = np.argmax(probs, axis=1)
     maxp = probs[np.arange(len(split)), pred]
-    gold = np.array([ex.label for ex in split])
+    gold = split.labels()
 
     lo = 1.0 / model.num_labels
     edges = [lo]
@@ -57,13 +57,11 @@ def confidence_histogram(model, split, bin_width: float = 0.05) -> ConfidenceHis
     return ConfidenceHistogram(edges.tolist(), counts.tolist(), correct.tolist(), frac)
 
 
-def easy_hard_partition(split, oracle=bias_oracle_predict):
-    """Disjoint exhaustive split: oracle-correct ids are easy, everything else
-    (including abstentions) is hard."""
-    easy, hard = [], []
-    for ex in split.examples:
-        (easy if oracle(ex) == ex.label else hard).append(ex.id)
-    return easy, hard
+def easy_hard_partition(split):
+    """Disjoint exhaustive split of the ids: bias-oracle-correct ones are easy,
+    everything else (including abstentions) is hard."""
+    ids, easy = [ex.id for ex in split], split.oracle_easy()
+    return list(compress(ids, easy)), list(compress(ids, ~easy))
 
 
 def _seed_summary(per_seed, splits) -> list:
@@ -116,19 +114,16 @@ def bias_proportion_study(m_values, synth_cfg: SynthConfig, train_cfg: TrainConf
         m_values, [proportion_seed(m_values, synth_cfg, train_cfg, s) for s in seeds])
 
 
-def identify_stage(train, shallow_cfg: ShallowConfig, seed: int, exclude_subset: bool = True):
+def identify_stage(train, shallow_cfg: ShallowConfig, seed: int):
     """Shallow model -> bias weights -> main-training set; returns (weights, main_train).
 
-    By default the main-training set is train minus the shallow subset (the
-    shallow model never scores examples it saw). With exclude_subset=False
-    the subset stays in and its examples are scored too.
+    The main-training set is train minus the shallow subset, and it is the
+    Dataset the shallow model scores: at an equal feature_dim, the main
+    training reuses the matrix that the scoring built.
     """
     shallow_model, subset_ids = train_shallow(train, replace(shallow_cfg, seed=seed))
-    weights = compute_bias_weights(shallow_model, train,
-                                   subset_ids if exclude_subset else set())
-    main_train = train if not exclude_subset else replace(
-        train, examples=[ex for ex in train.examples if ex.id not in subset_ids])
-    return weights, main_train
+    main_train = train.without(subset_ids)
+    return compute_bias_weights(shallow_model, main_train), main_train
 
 
 def sweep_seed(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainConfig,

@@ -6,6 +6,7 @@ selection grid search and the multi-seed stability study.
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -13,6 +14,9 @@ from .classifier import Featurizer, MinibatchRun, Model, check_run_config
 from .errors import ConfigError, DataError, read_json_lines
 from .rng import substream
 from .synthgen import bias_oracle_predict
+
+# unseen examples that score a shallow model's diagnosis
+MAX_UNSEEN = 5000
 
 
 @dataclass(frozen=True)
@@ -138,33 +142,30 @@ def train_shallow(train, cfg: ShallowConfig, run: ShallowRun = None):
     return model, run.subset_ids
 
 
-def compute_bias_weights(shallow: Model, train, subset_ids) -> BiasWeights:
-    """Score every training example outside the shallow subset."""
-    unseen = [ex for ex in train.examples if ex.id not in subset_ids]
-    if not unseen:
+def compute_bias_weights(shallow: Model, unseen) -> BiasWeights:
+    """Score every example of `unseen`, the training set without the shallow subset."""
+    if not len(unseen):
         raise DataError("no unseen examples left after removing the shallow subset")
     probs = shallow.predict_proba(unseen)
     entries = {}
     for ex, p in zip(unseen, probs):
-        if ex.label is None or not 0 <= ex.label < train.num_labels:
+        if ex.label is None or not 0 <= ex.label < unseen.num_labels:
             raise DataError(f"example {ex.id}: missing or invalid gold label")
         entries[ex.id] = {
             "p_b": p.tolist(),
             "p_b_correct": float(p[ex.label]),
             "predicted": int(np.argmax(p)),
         }
-    return BiasWeights(entries=entries, num_labels=train.num_labels)
+    return BiasWeights(entries=entries, num_labels=unseen.num_labels)
 
 
 def validate_shallow(shallow: Model, unseen, thresholds: ShallowThresholds = ShallowThresholds()):
-    """Accuracy / confidence diagnosis on held-out unseen examples.
-
-    unseen: Dataset or list of Examples, disjoint from the shallow subset.
-    """
+    """Accuracy / confidence diagnosis on held-out unseen examples: a
+    Dataset disjoint from the shallow subset."""
     if not len(unseen):
         raise DataError("empty unseen set")
     probs = shallow.predict_proba(unseen)
-    y = np.array([ex.label for ex in unseen], dtype=np.int64)
+    y = unseen.labels()
     pred = np.argmax(probs, axis=1)
     maxp = probs[np.arange(len(unseen)), pred]
     acc = float(np.mean(pred == y))
@@ -191,44 +192,47 @@ def validate_shallow(shallow: Model, unseen, thresholds: ShallowThresholds = Sha
 
 
 def grid_search_shallow(train, sizes, epoch_counts, base_cfg: ShallowConfig = ShallowConfig(),
-                        thresholds: ShallowThresholds = ShallowThresholds(),
-                        max_unseen: int = 5000):
-    """One shallow model per (sample_size, epochs) cell, scored on unseen data.
+                        thresholds: ShallowThresholds = ShallowThresholds()):
+    """One shallow model per (sample_size, epochs) cell, scored on up to
+    MAX_UNSEEN unseen examples.
 
+    Every cell is checked against the training-set size before any trains.
     Each sample size is trained once: its cells, in ascending epochs, continue
     one run, so the cost is the largest epoch count per size and every cell
     equals a fresh train_shallow run of its own. The size's unseen examples
     are one Dataset, so they are featurized once and score all its cells.
 
-    Returns (best ShallowConfig or None, report rows, (model, subset ids) of
-    the best cell or None). The first passing cell under (smallest
+    Returns (best ShallowConfig or None, report rows, (model, ShallowDiagnosis)
+    of the best cell or None). The first passing cell under (smallest
     sample_size, then smallest epochs) wins; a grid with no passing cell
     returns best=None rather than raising.
     """
     if not sizes or not epoch_counts:
         raise ConfigError("grid sizes and epoch_counts must be non-empty")
+    grid = [[replace(base_cfg, sample_size=n_s, epochs=e_s) for e_s in sorted(epoch_counts)]
+            for n_s in sorted(sizes)]
+    for cfg in chain.from_iterable(grid):
+        cfg.validate(train_size=len(train))
     rows = []
     best = best_fit = None
-    for n_s in sorted(sizes):
-        cfgs = [replace(base_cfg, sample_size=n_s, epochs=e_s) for e_s in sorted(epoch_counts)]
+    for cfgs in grid:
         run = ShallowRun.start(train, cfgs[0])
-        unseen = replace(train, examples=[ex for ex in train.examples
-                                          if ex.id not in run.subset_ids][:max_unseen])
+        unseen = train.without(run.subset_ids, MAX_UNSEEN)
         fits = [train_shallow(train, cfg, run=run) for cfg in cfgs]
         # score only once the optimizer state is released, to keep peak memory
         # down; the cells share the run's featurizer
         del run
-        for cfg, (model, subset_ids) in zip(cfgs, fits):
+        for cfg, (model, _) in zip(cfgs, fits):
             diag = validate_shallow(model, unseen, thresholds)
             rows.append({
-                "n_s": n_s, "e_s": cfg.epochs,
+                "n_s": cfg.sample_size, "e_s": cfg.epochs,
                 "unseen_acc": diag.unseen_accuracy,
                 "high_conf_frac": diag.high_conf_fraction,
                 "degenerate": diag.degenerate,
                 "pass": diag.passed,
             })
             if diag.passed and best is None:
-                best, best_fit = cfg, (model, subset_ids)
+                best, best_fit = cfg, (model, diag)
         del unseen  # nor hold its matrix while the next size trains
     return best, rows, best_fit
 
@@ -239,13 +243,12 @@ def stability_study(train, cfg: ShallowConfig, n_runs: int, eval_ds):
     if n_runs < 2:
         raise ConfigError("stability study needs n_runs >= 2")
     gold = eval_ds.labels()
-    easy = np.array([bias_oracle_predict(ex) == ex.label for ex in eval_ds], dtype=bool)
+    easy = eval_ds.oracle_easy()
     rows = []
     for run in range(n_runs):
         run_cfg = replace(cfg, seed=cfg.seed + 1000 * run)
         model, subset_ids = train_shallow(train, run_cfg)
-        unseen = [ex for ex in train.examples if ex.id not in subset_ids]
-        diag = validate_shallow(model, unseen)
+        diag = validate_shallow(model, train.without(subset_ids))
         row = {"run": run, "seed": run_cfg.seed, "degenerate": diag.degenerate,
                "unseen_acc": diag.unseen_accuracy}
         correct = model.predict(eval_ds) == gold

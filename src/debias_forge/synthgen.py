@@ -16,7 +16,7 @@ Vocabulary layout (disjoint ranges):
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -111,6 +111,14 @@ class Dataset:
 
     def labels(self) -> np.ndarray:
         return np.array([ex.label for ex in self.examples], dtype=np.int64)
+
+    def without(self, ids, limit=None):
+        """The Dataset of the first `limit` (default: all) examples whose id is not in ids."""
+        return replace(self, examples=[ex for ex in self.examples if ex.id not in ids][:limit])
+
+    def oracle_easy(self) -> np.ndarray:
+        """True where the bias oracle predicts the gold label, false where it errs or abstains."""
+        return np.array([bias_oracle_predict(ex) == ex.label for ex in self.examples], dtype=bool)
 
 
 def _round_half_up(x: float) -> int:
@@ -467,6 +475,10 @@ def load_dataset(path) -> Dataset:
         if type(header[key]) is not int:
             raise DataError(f"{path}: header '{key}' must be an integer, got {header[key]!r}")
     vocab = header["vocab_size"]
+    # a bias token is a label, so the labels are among the tokens
+    if not 2 <= header["num_labels"] <= vocab:
+        raise DataError(f"{path}: header 'num_labels' must lie in [2, vocab_size {vocab}], "
+                        f"got {header['num_labels']}")
     examples, ids = [], set()
     for lineno, rec in records:
         try:

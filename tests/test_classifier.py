@@ -11,7 +11,7 @@ from debias_forge.classifier import (
 )
 from debias_forge.errors import ConfigError, DataError, NumericError, SchemaError
 from debias_forge.objectives import scale_teacher
-from debias_forge.synthgen import Example
+from debias_forge.synthgen import Dataset, Example
 
 
 V, D, H, K = 20, 48, 8, 3
@@ -320,7 +320,7 @@ def test_checkpoint_roundtrip(rng, tmp_path):
     feat = Featurizer(vocab_size=V, dim=D)
     model = Model(params=init_params(D, H, K, rng), featurizer=feat,
                   num_labels=K, meta={"method": "poe"})
-    probe = [_example([1, 2], [3, 4]), _example([5], [6])]
+    probe = Dataset([_example([1, 2], [3, 4]), _example([5], [6])], K, V)
     before = model.predict_proba(probe)
     path = tmp_path / "m.ckpt.json"
     save_checkpoint(model, path, step=17, config_digest="abc")

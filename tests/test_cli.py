@@ -284,6 +284,20 @@ def test_empty_shallow_band_exits_2(conf, tmp_path, grid, setting):
     assert not out.exists()  # refused before any training
 
 
+@pytest.mark.parametrize("argv", [
+    ["--grid", "--set", "shallow.grid_sizes=150,1000", "--set", "shallow.grid_epochs=1,2"],
+    ["--set", "shallow.sample_size=600"],
+])
+def test_shallow_sample_size_past_train_set_exits_2(conf, tmp_path, featurized, argv):
+    assert _run("generate", "--config", conf, "--out-dir", str(tmp_path), "--quiet") == 0
+    out = tmp_path / "shallow"
+    assert _run("shallow", "--config", conf, "--data", str(tmp_path / "train.jsonl"),
+                "--out-dir", str(out), "--quiet", *argv) == 2
+    # every cell is checked against the 600 examples before any trains
+    assert featurized == []
+    assert not out.exists()
+
+
 def test_oracle_band_may_reach_past_0_and_1(conf, tmp_path):
     assert _run("generate", "--config", conf, "--out-dir", str(tmp_path), "--quiet") == 0
     assert _run("shallow", "--config", conf, "--data", str(tmp_path / "train.jsonl"),
@@ -347,6 +361,19 @@ def test_identify_schema_mismatch_exits_3(pipeline, tmp_path):
     assert _run("identify", "--checkpoint", str(pipeline["ckpt"]),
                 "--data", str(other / "train.jsonl"),
                 "--out-dir", str(tmp_path / "x"), "--quiet") == 3
+
+
+@pytest.mark.parametrize("subset_ids", [5, [[1]], "abc", {"a": 1}, [1.5]])
+def test_identify_malformed_subset_ids_exits_3(pipeline, tmp_path, subset_ids):
+    obj = json.loads(pipeline["ckpt"].read_text())
+    obj["meta"]["subset_ids"] = subset_ids
+    bad = tmp_path / "bad.ckpt.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "x"
+    assert _run("identify", "--config", pipeline["conf"], "--checkpoint", str(bad),
+                "--data", str(pipeline["out"] / "train.jsonl"), "--out-dir", str(out),
+                "--quiet") == 3
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e999"])
@@ -474,6 +501,17 @@ def test_conf_reg_train_featurizes_main_set_once(pipeline, featurized):
     # the teacher and the main model share the main-training set's matrix
     n_main = len(pipeline["weights"].read_text().splitlines())
     assert featurized == [n_main]
+
+
+def test_shallow_grid_featurizes_winners_unseen_once(pipeline, tmp_path, featurized):
+    assert _run("shallow", "--config", pipeline["conf"], "--grid",
+                "--data", str(pipeline["out"] / "train.jsonl"),
+                "--set", "shallow.grid_sizes=150", "--set", "shallow.grid_epochs=2",
+                "--set", "shallow.acc_band=0.0,1.0", "--set", "shallow.high_conf_min=0.0",
+                "--out-dir", str(tmp_path / "grid"), "--seed", "5", "--quiet") == 0
+    # the subset, then its 450 unseen examples once: the grid's diagnosis of
+    # the winner is the one written
+    assert featurized == [150, 450]
 
 
 def test_shallow_grid_no_pass_exits_5(pipeline, tmp_path):

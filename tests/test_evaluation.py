@@ -54,7 +54,7 @@ def test_accuracy_permutation_invariant(tiny_suite):
     base = accuracy(model, split)
     shuffled = list(split.examples)
     np.random.default_rng(0).shuffle(shuffled)
-    assert accuracy(model, shuffled) == base
+    assert accuracy(model, replace(split, examples=shuffled)) == base
 
 
 def test_uniform_model_accuracy_near_chance(tiny_suite):
@@ -173,6 +173,16 @@ def test_proportion_seed_featurizes_each_split_once(tiny_cfg, featurized):
     proportion_seed([0.6, 0.9], tiny_cfg, TINY_TRAIN, 1)
     # one training set per m, then each of the three suite splits once
     assert featurized == [tiny_cfg.train_size] * 2 + [tiny_cfg.test_size] * 3
+
+
+def test_identify_then_train_featurizes_main_set_once(tiny_train, featurized):
+    weights, main_train = identify_stage(tiny_train, TINY_SHALLOW, 1)
+    run_cfg = replace(TINY_TRAIN, method="conf_reg", seed=1)
+    train_main(main_train, weights, run_cfg, teacher=train_teacher(main_train, run_cfg))
+    # the shallow subset, then the main-training set once: the bias weights,
+    # the teacher and the main model share the matrix the scoring built
+    assert featurized == [TINY_SHALLOW.sample_size, len(main_train)]
+    assert len(main_train) == len(tiny_train) - TINY_SHALLOW.sample_size
 
 
 def test_anneal_sweep_equals_naive_loop(tiny_cfg):

@@ -54,7 +54,7 @@ def test_train_shallow_deterministic(tiny_train):
 
 def test_bias_weights_cover_exactly_the_unseen(tiny_train):
     model, subset_ids = train_shallow(tiny_train, FAST)
-    weights = compute_bias_weights(model, tiny_train, subset_ids)
+    weights = compute_bias_weights(model, tiny_train.without(subset_ids))
     expected = {ex.id for ex in tiny_train.examples} - subset_ids
     assert set(weights.entries) == expected
     by_id = {ex.id: ex for ex in tiny_train.examples}
@@ -68,7 +68,7 @@ def test_bias_weights_cover_exactly_the_unseen(tiny_train):
 
 def test_uniform_model_gives_chance_pb(tiny_train):
     model = _uniform_model(tiny_train.vocab_size, tiny_train.num_labels)
-    weights = compute_bias_weights(model, tiny_train, set())
+    weights = compute_bias_weights(model, tiny_train.without(set()))
     for entry in weights.entries.values():
         assert entry["p_b_correct"] == pytest.approx(1 / 3, abs=1e-12)
 
@@ -83,7 +83,7 @@ def test_validate_flags_uniform_model_degenerate(tiny_train):
 
 def test_validate_band_logic(tiny_train):
     model, subset_ids = train_shallow(tiny_train, FAST)
-    unseen = [ex for ex in tiny_train.examples if ex.id not in subset_ids]
+    unseen = tiny_train.without(subset_ids)
     wide = ShallowThresholds(acc_band=(0.0, 1.0), high_conf_min=0.0,
                              degenerate_margin=0.0)
     assert validate_shallow(model, unseen, wide).passed
@@ -148,12 +148,12 @@ def _grid_by_fresh_runs(train, sizes, epoch_counts, base_cfg, thresholds):
             model, subset_ids = train_shallow(train, cfg)
             models.append(model)
             unseen = [ex for ex in train.examples if ex.id not in subset_ids][:5000]
-            diag = validate_shallow(model, unseen, thresholds)
+            diag = validate_shallow(model, replace(train, examples=unseen), thresholds)
             rows.append({"n_s": n_s, "e_s": e_s, "unseen_acc": diag.unseen_accuracy,
                          "high_conf_frac": diag.high_conf_fraction,
                          "degenerate": diag.degenerate, "pass": diag.passed})
             if diag.passed and best is None:
-                best = (cfg, model, subset_ids)
+                best = (cfg, model, diag)
     return best, rows, models
 
 
@@ -179,12 +179,12 @@ def test_grid_search_equals_fresh_run_per_cell(tiny_train, monkeypatch):
             return model, subset_ids
 
         monkeypatch.setattr(shallow, "train_shallow", keep_model)
-        best, rows, (model, subset_ids) = grid_search_shallow(
+        best, rows, (model, diag) = grid_search_shallow(
             tiny_train, sizes, epoch_counts, base_cfg=FAST, thresholds=thresholds)
         monkeypatch.undo()
         assert rows == ref_rows
         assert best == ref_best[0]
-        assert subset_ids == ref_best[2]
+        assert diag == ref_best[2]
         assert model.meta == ref_best[1].meta and _same_params(model, ref_best[1])
         assert len(captured) == len(ref_models) == 6
         assert all(_same_params(a, b) for a, b in zip(captured, ref_models))
@@ -238,7 +238,7 @@ def test_stability_study_featurizes_eval_ds_once(tiny_train, featurized):
 
 def test_bias_weights_roundtrip(tiny_train, tmp_path):
     model, subset_ids = train_shallow(tiny_train, FAST)
-    weights = compute_bias_weights(model, tiny_train, subset_ids)
+    weights = compute_bias_weights(model, tiny_train.without(subset_ids))
     p1 = tmp_path / "w.jsonl"
     p2 = tmp_path / "w2.jsonl"
     save_bias_weights(weights, p1)

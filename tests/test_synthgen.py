@@ -188,7 +188,11 @@ def test_load_rejects_bad_files(tmp_path):
         load_dataset(noid)
     for bad_header in ({"num_labels": "3", "vocab_size": 60},
                        {"num_labels": 3, "vocab_size": "1000"},
-                       {"num_labels": True, "vocab_size": 60}, [3, 60]):
+                       {"num_labels": True, "vocab_size": 60}, [3, 60],
+                       # a label is a bias token, so 2 <= num_labels <= vocab_size
+                       {"num_labels": 1, "vocab_size": 60},
+                       {"num_labels": 61, "vocab_size": 60},
+                       {"num_labels": 2**40, "vocab_size": 60}):
         badhead = tmp_path / "badhead.jsonl"
         badhead.write_text(json.dumps(bad_header) + "\n" + rec + "\n")
         with pytest.raises(DataError, match="header"):

@@ -20,7 +20,7 @@ FAST_SHALLOW = ShallowConfig(sample_size=200, epochs=2, learning_rate=5e-3,
 @pytest.fixture(scope="module")
 def tiny_weights(tiny_train):
     model, subset_ids = train_shallow(tiny_train, FAST_SHALLOW)
-    return compute_bias_weights(model, tiny_train, set())
+    return compute_bias_weights(model, tiny_train.without(set()))
 
 
 def test_config_validation():

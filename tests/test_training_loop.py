@@ -157,7 +157,7 @@ def reference_stage(tiny_train):
     """Bias weights of every example from a reference shallow run, and the
     reference baseline model as the conf_reg teacher."""
     shallow_model, _ = _reference_train_shallow(tiny_train, SHALLOW)
-    weights = compute_bias_weights(shallow_model, tiny_train, set())
+    weights = compute_bias_weights(shallow_model, tiny_train.without(set()))
     teacher, _ = _reference_train_main(tiny_train, None, TRAIN)
     return weights, teacher
 
