@@ -418,6 +418,14 @@ class MinibatchRun:
 # ---------------------------------------------------------------------------
 # model wrapper and checkpoint I/O
 
+def check_model_data(ds, num_labels: int, vocab_size: int):
+    """The model-data rule: a model of K labels over a vocabulary of V scores
+    only a Dataset of K labels over V; SchemaError for any other."""
+    if (ds.num_labels, ds.vocab_size) != (num_labels, vocab_size):
+        raise SchemaError(f"model-data mismatch: the model has K={num_labels} over vocabulary "
+                          f"{vocab_size}, the data K={ds.num_labels} over {ds.vocab_size}")
+
+
 @dataclass
 class Model:
     params: ModelParams
@@ -427,6 +435,7 @@ class Model:
 
     def predict_proba(self, ds) -> np.ndarray:
         """Class probabilities of a Dataset's examples, through its kept matrix."""
+        check_model_data(ds, self.num_labels, self.featurizer.vocab_size)
         return forward(self.params, ds.matrix(self.featurizer))
 
     def predict(self, ds) -> np.ndarray:

@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
 
 from . import __version__
-from .classifier import load_checkpoint, save_checkpoint
+from .classifier import check_model_data, load_checkpoint, save_checkpoint
 from .errors import (
     ConfigError, DataError, DegenerateShallowError, NumericError, SchemaError, open_text,
 )
@@ -329,16 +329,6 @@ def cmd_identify(args) -> int:
     digest = config_digest(cfg)
     model = load_checkpoint(args.checkpoint)
     train = load_dataset(args.data)
-    if model.num_labels != train.num_labels:
-        raise SchemaError(
-            f"label-count mismatch: checkpoint has K={model.num_labels}, "
-            f"dataset has K={train.num_labels}"
-        )
-    if model.featurizer.vocab_size != train.vocab_size:
-        raise SchemaError(
-            f"vocabulary mismatch: checkpoint expects {model.featurizer.vocab_size}, "
-            f"dataset has {train.vocab_size}"
-        )
     subset_ids = model.meta.get("subset_ids", [])
     if not (type(subset_ids) is list and all(type(i) is int for i in subset_ids)):
         raise SchemaError(f"{args.checkpoint}: meta.subset_ids must be a list of "
@@ -346,9 +336,10 @@ def cmd_identify(args) -> int:
     if not subset_ids:
         raise DataError(f"{args.checkpoint}: no subset_ids recorded; "
                         "was this checkpoint produced by the shallow command?")
-    os.makedirs(args.out_dir, exist_ok=True)
     started = time.time()
+    # scored before the out dir is made, so that refused input leaves none
     weights = compute_bias_weights(model, train.without(set(subset_ids)))
+    os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, f"weights-{digest}.jsonl")
     save_bias_weights(weights, path)
     write_manifest(args.out_dir, "identify", digest,
@@ -394,6 +385,8 @@ def cmd_train(args) -> int:
                 inputs.append(path)
         if not eval_suite:
             raise DataError(f"{args.eval_dir}: no eval_<split>.jsonl files found")
+        for ds in eval_suite.values():  # before a teacher is trained on train
+            check_model_data(ds, train.num_labels, train.vocab_size)
 
     teacher = None
     outputs = []
@@ -497,10 +490,8 @@ def cmd_report(args) -> int:
                  "count": hist.counts[i], "correct": hist.correct[i],
                  "correct_fraction": hist.correct_fraction[i]}
                 for i in range(len(hist.counts))]
-        probs = model.predict_proba(split)
-        mean_conf = float(probs.max(axis=1).mean())
         emit("histogram", ["bin_lo", "bin_hi", "count", "correct", "correct_fraction"],
-             rows, {"mean_confidence": mean_conf, "examples": len(split)})
+             rows, {"mean_confidence": hist.mean_confidence, "examples": len(split)})
 
     elif args.kind == "sweep":
         method = cfg["report.method"]

@@ -1,9 +1,8 @@
-"""Evaluation and analysis: split accuracy, confidence histograms, easy/hard
-partitioning, the bias-proportion study, and the annealing sweep.
+"""Evaluation and analysis: split accuracy, confidence histograms, the
+bias-proportion study, and the annealing sweep.
 """
 
 from dataclasses import dataclass, replace
-from itertools import compress
 
 import numpy as np
 
@@ -28,6 +27,7 @@ class ConfidenceHistogram:
     counts: list           # len B
     correct: list          # len B
     correct_fraction: list
+    mean_confidence: float
 
 
 def confidence_histogram(model, split, bin_width: float = 0.05) -> ConfidenceHistogram:
@@ -54,14 +54,8 @@ def confidence_histogram(model, split, bin_width: float = 0.05) -> ConfidenceHis
     counts = np.bincount(idx, minlength=len(edges) - 1)
     correct = np.bincount(idx[pred == gold], minlength=len(edges) - 1)
     frac = [float(c) / n if n else 0.0 for c, n in zip(correct, counts)]
-    return ConfidenceHistogram(edges.tolist(), counts.tolist(), correct.tolist(), frac)
-
-
-def easy_hard_partition(split):
-    """Disjoint exhaustive split of the ids: bias-oracle-correct ones are easy,
-    everything else (including abstentions) is hard."""
-    ids, easy = [ex.id for ex in split], split.oracle_easy()
-    return list(compress(ids, easy)), list(compress(ids, ~easy))
+    return ConfidenceHistogram(edges.tolist(), counts.tolist(), correct.tolist(), frac,
+                               float(maxp.mean()))
 
 
 def _seed_summary(per_seed, splits) -> list:

@@ -149,8 +149,6 @@ def compute_bias_weights(shallow: Model, unseen) -> BiasWeights:
     probs = shallow.predict_proba(unseen)
     entries = {}
     for ex, p in zip(unseen, probs):
-        if ex.label is None or not 0 <= ex.label < unseen.num_labels:
-            raise DataError(f"example {ex.id}: missing or invalid gold label")
         entries[ex.id] = {
             "p_b": p.tolist(),
             "p_b_correct": float(p[ex.label]),
@@ -209,6 +207,9 @@ def grid_search_shallow(train, sizes, epoch_counts, base_cfg: ShallowConfig = Sh
     """
     if not sizes or not epoch_counts:
         raise ConfigError("grid sizes and epoch_counts must be non-empty")
+    if len(set(sizes)) < len(sizes) or len(set(epoch_counts)) < len(epoch_counts):
+        raise ConfigError(f"grid values must not repeat, got sizes {sizes} "
+                          f"and epoch_counts {epoch_counts}")
     grid = [[replace(base_cfg, sample_size=n_s, epochs=e_s) for e_s in sorted(epoch_counts)]
             for n_s in sorted(sizes)]
     for cfg in chain.from_iterable(grid):
@@ -263,10 +264,7 @@ def stability_study(train, cfg: ShallowConfig, n_runs: int, eval_ds):
 def save_bias_weights(weights: BiasWeights, path):
     with open(path, "w", encoding="utf-8") as fh:
         for ex_id in sorted(weights.entries):
-            e = weights.entries[ex_id]
-            fh.write(json.dumps({"id": ex_id, "p_b": e["p_b"],
-                                 "p_b_correct": e["p_b_correct"],
-                                 "predicted": e["predicted"]}, sort_keys=True) + "\n")
+            fh.write(json.dumps({"id": ex_id, **weights.entries[ex_id]}, sort_keys=True) + "\n")
 
 
 def load_bias_weights(path, num_labels: int) -> BiasWeights:

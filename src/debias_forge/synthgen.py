@@ -60,13 +60,6 @@ class SynthConfig:
         if not 0.0 <= self.bias_proportion <= 1.0:
             raise ConfigError("bias_proportion must be in [0, 1]")
 
-    # token-range helpers
-    def a_signal_token(self, idx: int) -> int:
-        return self.num_labels + idx
-
-    def b_signal_token(self, idx: int) -> int:
-        return 2 * self.num_labels + idx
-
     @property
     def noise_range(self):
         return 3 * self.num_labels, self.vocab_size
@@ -445,21 +438,8 @@ def save_dataset(dataset: Dataset, path):
             "provenance": dataset.provenance,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for ex in dataset.examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": ex.id,
-                        "segment_a": list(ex.segment_a),
-                        "segment_b": list(ex.segment_b),
-                        "label": ex.label,
-                        "bias_tag": ex.bias_tag,
-                        "bias_token": ex.bias_token,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        for ex in dataset.examples:  # json writes the segment tuples as lists
+            fh.write(json.dumps(ex._asdict(), sort_keys=True) + "\n")
 
 
 def load_dataset(path) -> Dataset:

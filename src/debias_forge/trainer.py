@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import objectives
-from .classifier import Featurizer, MinibatchRun, Model, check_run_config, forward
+from .classifier import Featurizer, MinibatchRun, Model, check_model_data, check_run_config
 from .errors import ConfigError, DataError, read_json_lines
 from .objectives import AnnealSchedule, anneal_alpha
 
@@ -41,29 +41,24 @@ class TrainConfig:
 
 
 def loss_percentiles(batch_losses):
-    """Nearest-rank percentiles (0, 25, 50, 75, 100) of the batch losses."""
-    losses = np.asarray(batch_losses, dtype=np.float64)
-    if losses.size == 0:
-        raise DataError("empty batch: no losses to summarize")
-    s = np.sort(losses)
-    n = s.size
-    out = []
-    for p in PERCENTILE_LEVELS:
-        rank = max(1, math.ceil(p / 100.0 * n))
-        out.append(float(s[rank - 1]))
-    return tuple(out)
+    """Nearest-rank percentiles (PERCENTILE_LEVELS) of the batch losses."""
+    return np.percentile(batch_losses, PERCENTILE_LEVELS, method="inverted_cdf").tolist()
 
 
 def train_main(train, weights, cfg: TrainConfig, eval_suite=None, teacher=None):
     """Run one training; returns (Model, metrics list of dicts).
 
-    train: Dataset (the main-training set). weights: BiasWeights or None
-    (required for every method except baseline_ce). eval_suite: optional dict
-    of split -> Dataset evaluated every cfg.eval_every steps. teacher: frozen
-    Model, required when method == "conf_reg".
+    train: Dataset (the main-training set), not empty. weights: BiasWeights
+    or None (required for every method except baseline_ce). eval_suite:
+    optional dict of split -> Dataset evaluated every cfg.eval_every steps.
+    teacher: frozen Model, required when method == "conf_reg".
     """
     cfg.validate()
+    if not len(train):
+        raise DataError("empty training set: no examples to train on")
     K = train.num_labels
+    for ds in (eval_suite or {}).values():  # refused before training, not at the first eval
+        check_model_data(ds, K, train.vocab_size)
     featurizer = Featurizer(vocab_size=train.vocab_size, dim=cfg.feature_dim)
     X = train.matrix(featurizer)
     y = train.labels()
@@ -86,9 +81,6 @@ def train_main(train, weights, cfg: TrainConfig, eval_suite=None, teacher=None):
             raise ConfigError("method 'conf_reg' requires a trained teacher")
         p_t = teacher.predict_proba(train)  # frozen, precomputed once
 
-    eval_matrices = {split: (ds.matrix(featurizer), ds.labels())
-                     for split, ds in (eval_suite or {}).items()}
-
     run = MinibatchRun(X, K, cfg)
     total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
     sched = cfg.anneal
@@ -110,10 +102,10 @@ def train_main(train, weights, cfg: TrainConfig, eval_suite=None, teacher=None):
         rec = {"step": step, "mean_loss": float(losses.mean()),
                "alpha": alpha, "clamped": grads.clamped}
         rec.update(zip((f"p{p}" for p in PERCENTILE_LEVELS), loss_percentiles(losses)))
-        if eval_matrices and (step % cfg.eval_every == 0 or step == total_steps):
-            for split, (X_eval, y_eval) in eval_matrices.items():
-                pred = np.argmax(forward(run.params, X_eval), axis=1)
-                rec[f"acc_{split}"] = float(np.mean(pred == y_eval))
+        if eval_suite and (step % cfg.eval_every == 0 or step == total_steps):
+            model = Model(params=run.params, featurizer=featurizer, num_labels=K)
+            for split, ds in eval_suite.items():
+                rec[f"acc_{split}"] = float(np.mean(model.predict(ds) == ds.labels()))
         metrics.append(rec)
 
     return Model(params=run.params, featurizer=featurizer, num_labels=K,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -39,6 +41,13 @@ def tiny_train(tiny_clean):
 @pytest.fixture(scope="session")
 def tiny_suite():
     return make_eval_suite(TINY)
+
+
+def nearest_rank_percentiles(values, levels=(0, 25, 50, 75, 100)):
+    """The nearest-rank percentiles of values: per level p, the ceil(p/100 * n)-th
+    smallest value (the smallest for p = 0)."""
+    s = np.sort(np.asarray(values, dtype=np.float64))
+    return tuple(float(s[max(1, math.ceil(p / 100.0 * s.size)) - 1]) for p in levels)
 
 
 @pytest.fixture()

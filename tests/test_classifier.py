@@ -330,6 +330,18 @@ def test_checkpoint_roundtrip(rng, tmp_path):
     assert loaded.meta["method"] == "poe"
 
 
+@pytest.mark.parametrize("num_labels,vocab_size", [(K + 1, V), (K, V + 1), (2, 2 * V)])
+def test_predict_proba_refuses_data_of_another_label_count_or_vocabulary(
+        rng, featurized, num_labels, vocab_size):
+    model = Model(params=init_params(D, H, K, rng), featurizer=Featurizer(V, D), num_labels=K)
+    other = Dataset([_example([1, 2], [3, 4])], num_labels, vocab_size)
+    with pytest.raises(SchemaError, match="mismatch"):
+        model.predict_proba(other)
+    with pytest.raises(SchemaError, match="mismatch"):
+        model.predict(other)
+    assert featurized == []  # refused before the data is featurized
+
+
 def test_checkpoint_corrupt_and_mismatched(rng, tmp_path):
     feat = Featurizer(vocab_size=V, dim=D)
     model = Model(params=init_params(D, H, K, rng), featurizer=feat, num_labels=K)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import debias_forge
+from debias_forge.classifier import Model, load_checkpoint
 from debias_forge.cli import (
     DEFAULTS, _parse_override, _pieces_per_seed, config_digest, config_of, main,
     parse_config_file, resolve_config, worker_count,
@@ -284,6 +285,19 @@ def test_empty_shallow_band_exits_2(conf, tmp_path, grid, setting):
     assert not out.exists()  # refused before any training
 
 
+@pytest.mark.parametrize("sizes,epochs", [("150,150", "2,2"), ("150,100,150", "2"),
+                                          ("150", "1,2,1")])
+def test_shallow_grid_repeated_values_exit_2(conf, tmp_path, featurized, sizes, epochs):
+    assert _run("generate", "--config", conf, "--out-dir", str(tmp_path), "--quiet") == 0
+    out = tmp_path / "shallow"
+    assert _run("shallow", "--config", conf, "--data", str(tmp_path / "train.jsonl"),
+                "--out-dir", str(out), "--quiet", "--grid", "--set", f"shallow.grid_sizes={sizes}",
+                "--set", f"shallow.grid_epochs={epochs}") == 2
+    # refused before any training
+    assert featurized == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--grid", "--set", "shallow.grid_sizes=150,1000", "--set", "shallow.grid_epochs=1,2"],
     ["--set", "shallow.sample_size=600"],
@@ -358,9 +372,95 @@ def test_identify_schema_mismatch_exits_3(pipeline, tmp_path):
     other = tmp_path / "other"
     assert _run("generate", "--config", pipeline["conf"], "--out-dir", str(other),
                 "--set", "data.num_labels=4", "--seed", "5", "--quiet") == 0
+    out = tmp_path / "x"
     assert _run("identify", "--checkpoint", str(pipeline["ckpt"]),
                 "--data", str(other / "train.jsonl"),
-                "--out-dir", str(tmp_path / "x"), "--quiet") == 3
+                "--out-dir", str(out), "--quiet") == 3
+    assert not out.exists()  # scored before the out dir is made
+
+
+def _k5_suite(pipeline, tmp_path):
+    """A TINY set and suite of K=5 labels over the pipeline's vocabulary of 60."""
+    k5 = tmp_path / "k5"
+    assert _run("generate", "--config", pipeline["conf"], "--out-dir", str(k5),
+                "--set", "data.num_labels=5", "--seed", "5", "--quiet") == 0
+    return k5
+
+
+def _written(out, *patterns):
+    return [p.name for pattern in patterns for p in out.glob(pattern)]
+
+
+@pytest.mark.parametrize("method", ["baseline_ce", "conf_reg"])
+def test_train_eval_dir_of_other_label_count_exits_3(pipeline, tmp_path, featurized, method):
+    k5, out = _k5_suite(pipeline, tmp_path), tmp_path / "train"
+    assert _run("train", "--config", pipeline["conf"], "--set", f"train.method={method}",
+                "--data", str(pipeline["out"] / "train.jsonl"), "--eval-dir", str(k5),
+                "--weights", str(pipeline["weights"]),
+                "--out-dir", str(out), "--seed", "5", "--quiet") == 3
+    # refused before the training set is featurized or a teacher is trained
+    assert featurized == []
+    assert _written(out, "model-*", "run-*", "teacher-*") == []
+
+
+def test_conf_reg_cached_teacher_of_other_label_count_exits_3(pipeline, tmp_path):
+    """A K=3 teacher cached under the config digest of a run on K=5 data."""
+    out = pipeline["out"]
+    argv = ["train", "--config", pipeline["conf"], "--set", "train.method=conf_reg",
+            "--seed", "5", "--quiet"]
+    assert _run(*argv, "--data", str(out / "train.jsonl"),
+                "--weights", str(pipeline["weights"]), "--out-dir", str(out)) == 0
+    k5, cached = _k5_suite(pipeline, tmp_path), tmp_path / "cached"
+    cached.mkdir()
+    teacher = next(out.glob("teacher-*.ckpt.json"))
+    (cached / teacher.name).write_bytes(teacher.read_bytes())
+    weights = tmp_path / "k5-weights.jsonl"
+    weights.write_text("".join(
+        json.dumps({"id": ex.id, "p_b": [0.2] * 5, "p_b_correct": 0.2, "predicted": 0}) + "\n"
+        for ex in load_dataset(k5 / "train.jsonl")))
+    assert _run(*argv, "--data", str(k5 / "train.jsonl"), "--weights", str(weights),
+                "--out-dir", str(cached)) == 3
+    assert _written(cached, "*") == [teacher.name]
+
+
+@pytest.mark.parametrize("kind", ["compare", "histogram", "stability"])
+def test_report_on_data_of_other_label_count_exits_3(pipeline, tmp_path, kind):
+    out, k5, rep = pipeline["out"], _k5_suite(pipeline, tmp_path), tmp_path / "rep"
+    assert _run("train", "--config", pipeline["conf"], "--data", str(out / "train.jsonl"),
+                "--out-dir", str(out), "--seed", "5", "--quiet") == 0
+    model = next(out.glob("model-*.ckpt.json"))
+    argv = {
+        "compare": ["--checkpoints", str(model), "--suite-dir", str(k5)],
+        "histogram": ["--checkpoint", str(model), "--data", str(k5 / "eval_original.jsonl")],
+        "stability": ["--data", str(out / "train.jsonl"),
+                      "--eval", str(k5 / "eval_original.jsonl")],
+    }[kind]
+    assert _run("report", "--kind", kind, "--config", pipeline["conf"], *argv,
+                "--out-dir", str(rep), "--seed", "5", "--quiet") == 3
+    assert _written(rep, "*.csv", "*.json") == []
+
+
+def test_report_histogram_scores_its_split_once(pipeline, tmp_path, monkeypatch):
+    out, rep = pipeline["out"], tmp_path / "rep"
+    assert _run("train", "--config", pipeline["conf"], "--data", str(out / "train.jsonl"),
+                "--out-dir", str(out), "--seed", "5", "--quiet") == 0
+    model_path = next(out.glob("model-*.ckpt.json"))
+    split = load_dataset(out / "eval_original.jsonl")
+    probs = load_checkpoint(model_path).predict_proba(split)
+    calls = []
+    predict_proba = Model.predict_proba
+
+    def counting(self, ds):
+        calls.append(len(ds))
+        return predict_proba(self, ds)
+
+    monkeypatch.setattr(Model, "predict_proba", counting)
+    assert _run("report", "--kind", "histogram", "--config", pipeline["conf"],
+                "--checkpoint", str(model_path), "--data", str(out / "eval_original.jsonl"),
+                "--out-dir", str(rep), "--seed", "5", "--quiet") == 0
+    assert calls == [len(split)]
+    summary = json.loads(next(rep.glob("histogram-*.json")).read_text())
+    assert summary["mean_confidence"] == float(probs.max(axis=1).mean())
 
 
 @pytest.mark.parametrize("subset_ids", [5, [[1]], "abc", {"a": 1}, [1.5]])
@@ -465,6 +565,26 @@ def test_train_bad_weights_exit_3(pipeline, case):
                 "--set", "train.method=poe",
                 "--data", str(out / "train.jsonl"), "--weights", str(bad),
                 "--out-dir", str(out), "--seed", "5", "--quiet") == 3
+
+
+@pytest.mark.parametrize("method,data", [
+    ("baseline_ce", "header-only"), ("conf_reg", "header-only"), ("reweight", "uncovered"),
+])
+def test_empty_training_set_exits_3(pipeline, tmp_path, method, data):
+    """A header-only data file, or weights that cover no example of the data."""
+    out, train, weights = tmp_path / "train", pipeline["out"] / "train.jsonl", pipeline["weights"]
+    if data == "header-only":
+        train = tmp_path / "empty.jsonl"
+        train.write_text((pipeline["out"] / "train.jsonl").read_text().splitlines()[0] + "\n")
+    else:
+        weights = tmp_path / "elsewhere.jsonl"
+        weights.write_text("".join(
+            json.dumps({**json.loads(line), "id": json.loads(line)["id"] + 10**6}) + "\n"
+            for line in pipeline["weights"].read_text().splitlines()))
+    assert _run("train", "--config", pipeline["conf"], "--set", f"train.method={method}",
+                "--data", str(train), "--weights", str(weights),
+                "--out-dir", str(out), "--seed", "5", "--quiet") == 3
+    assert _written(out, "teacher-*", "model-*", "run-*") == []
 
 
 def test_train_missing_weights_exits_2(pipeline):

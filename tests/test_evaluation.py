@@ -5,7 +5,7 @@ import pytest
 
 from debias_forge.errors import ConfigError, DataError
 from debias_forge.evaluation import (
-    accuracy, bias_proportion_study, confidence_histogram, easy_hard_partition,
+    accuracy, bias_proportion_study, confidence_histogram,
     identify_stage, proportion_seed, sweep_report, sweep_seed,
 )
 from debias_forge.objectives import AnnealSchedule
@@ -102,20 +102,18 @@ def test_histogram_bad_bin_width(tiny_suite):
 
 
 def test_easy_hard_partition_trivial_splits(tiny_suite):
-    easy, hard = easy_hard_partition(tiny_suite["biased"])
-    assert len(easy) == len(tiny_suite["biased"]) and not hard
-    easy, hard = easy_hard_partition(tiny_suite["anti_biased"])
-    assert len(hard) == len(tiny_suite["anti_biased"]) and not easy
-    easy, hard = easy_hard_partition(tiny_suite["original"])
-    assert not easy  # abstentions are hard
+    # the easy/hard partition is the oracle_easy mask and its complement
+    assert tiny_suite["biased"].oracle_easy().all()
+    assert not tiny_suite["anti_biased"].oracle_easy().any()
+    assert not tiny_suite["original"].oracle_easy().any()  # abstentions are hard
 
 
 def test_easy_hard_partition_counting(tiny_cfg):
     ds = inject_bias(gen_dataset(tiny_cfg), m=0.9, rho=1.0, seed=9)
-    easy, hard = easy_hard_partition(ds)
-    assert set(easy).isdisjoint(hard)
-    assert len(easy) + len(hard) == len(ds)
-    assert abs(len(easy) / len(ds) - 0.9) <= 0.02
+    easy = ds.oracle_easy()
+    assert easy.shape == (len(ds),)
+    assert np.array_equal(easy, [ex.bias_tag == "biased" for ex in ds])
+    assert abs(easy.mean() - 0.9) <= 0.02
 
 
 def test_bias_proportion_edge_cases(tiny_cfg):

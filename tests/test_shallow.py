@@ -131,6 +131,9 @@ def test_grid_search_no_pass_returns_none(tiny_train):
     assert len(rows) == 1 and not rows[0]["pass"]
     with pytest.raises(ConfigError):
         grid_search_shallow(tiny_train, [], [1], base_cfg=FAST)
+    for sizes, epoch_counts in (([200, 200], [1]), ([200], [2, 1, 2])):
+        with pytest.raises(ConfigError, match="repeat"):
+            grid_search_shallow(tiny_train, sizes, epoch_counts, base_cfg=FAST)
 
 
 def _same_params(a, b):
@@ -158,7 +161,7 @@ def _grid_by_fresh_runs(train, sizes, epoch_counts, base_cfg, thresholds):
 
 
 def test_grid_search_equals_fresh_run_per_cell(tiny_train, monkeypatch):
-    sizes, epoch_counts = [400, 200], [3, 1, 3]
+    sizes, epoch_counts = [400, 200], [3, 1, 2]
     wide = ShallowThresholds(acc_band=(0.0, 1.0), high_conf_min=0.0,
                              degenerate_margin=0.0)
     _, ref_rows, ref_models = _grid_by_fresh_runs(tiny_train, sizes, epoch_counts,

@@ -258,7 +258,7 @@ def _reference_examples(cfg, stream, count, split):
         b_idx = int(rng.integers(0, K))
         label = (a_idx + b_idx) % K
         segs = []
-        for sig in (cfg.a_signal_token(a_idx), cfg.b_signal_token(b_idx)):
+        for sig in (K + a_idx, 2 * K + b_idx):
             keep = rng.random(n) < cfg.noise_token_rate if n else np.zeros(0, bool)
             fill = rng.integers(lo, hi, size=n)
             toks = list(fill[keep])

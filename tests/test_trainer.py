@@ -2,8 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import nearest_rank_percentiles
 
-from debias_forge.errors import ConfigError, DataError
+from debias_forge.classifier import Featurizer
+from debias_forge.errors import ConfigError, DataError, SchemaError
 from debias_forge.objectives import AnnealSchedule
 from debias_forge.shallow import BiasWeights, ShallowConfig, compute_bias_weights, train_shallow
 from debias_forge.trainer import (
@@ -38,17 +40,13 @@ def test_config_validation():
 
 
 def test_loss_percentiles_oracle(rng):
-    assert loss_percentiles([1, 2, 3, 4, 5]) == (1, 2, 3, 4, 5)
-    assert loss_percentiles([7.0] * 9) == (7.0,) * 5
+    assert loss_percentiles([1, 2, 3, 4, 5]) == [1, 2, 3, 4, 5]
+    assert loss_percentiles([7.0] * 9) == [7.0] * 5
+    for n in (*range(1, 70), 100, 1000, 4097):
+        for values in (rng.random(n), rng.integers(0, 4, n).astype(float)):  # ties too
+            assert tuple(loss_percentiles(values)) == nearest_rank_percentiles(values)
     values = rng.random(100)
-    p = loss_percentiles(values)
-    s = np.sort(values)
-    # nearest-rank oracle recomputed independently
-    expect = tuple(s[max(1, int(np.ceil(q * len(s)))) - 1] for q in (0, .25, .5, .75, 1))
-    assert p == expect
-    assert abs(p[2] - np.median(values)) < 0.1
-    with pytest.raises(DataError):
-        loss_percentiles([])
+    assert abs(loss_percentiles(values)[2] - np.median(values)) < 0.1
 
 
 def test_train_deterministic_and_metrics_invariants(tiny_train, tiny_suite):
@@ -74,6 +72,30 @@ def test_eval_suite_does_not_perturb_training(tiny_train, tiny_suite):
     without, _ = train_main(tiny_train, None, FAST_TRAIN)
     for name, arr in with_eval.params.arrays().items():
         assert np.array_equal(arr, without.params.arrays()[name])
+
+
+def test_eval_split_or_teacher_of_another_schema_refused_before_training(
+        tiny_train, tiny_suite, tiny_weights, featurized):
+    other = replace(tiny_suite["original"], num_labels=4)
+    with pytest.raises(SchemaError, match="mismatch"):
+        train_main(tiny_train, None, FAST_TRAIN, eval_suite={**tiny_suite, "original": other})
+    assert featurized == []  # refused before the training set is featurized
+    teacher = train_teacher(tiny_train, FAST_TRAIN)
+    for bad in (replace(teacher, num_labels=4),
+                replace(teacher, featurizer=Featurizer(61, FAST_TRAIN.feature_dim))):
+        with pytest.raises(SchemaError, match="mismatch"):
+            train_main(tiny_train, tiny_weights, replace(FAST_TRAIN, method="conf_reg"),
+                       teacher=bad)
+
+
+def test_empty_training_set_refused_before_featurizing(tiny_train, tiny_weights, featurized):
+    empty = replace(tiny_train, examples=[])
+    for method in ("baseline_ce", "reweight"):
+        with pytest.raises(DataError, match="empty training set"):
+            train_main(empty, tiny_weights, replace(FAST_TRAIN, method=method))
+    with pytest.raises(DataError, match="empty training set"):
+        train_teacher(empty, FAST_TRAIN)
+    assert featurized == []
 
 
 def test_debias_methods_require_weights(tiny_train):

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import nearest_rank_percentiles
 
 from debias_forge import objectives
 from debias_forge.classifier import Featurizer, Model, forward, init_params, loss_and_grad
@@ -21,7 +22,7 @@ from debias_forge.errors import NumericError
 from debias_forge.objectives import METHODS, AnnealSchedule, anneal_alpha
 from debias_forge.rng import substream
 from debias_forge.shallow import ShallowConfig, ShallowRun, compute_bias_weights, train_shallow
-from debias_forge.trainer import TrainConfig, loss_percentiles, train_main, train_teacher
+from debias_forge.trainer import TrainConfig, train_main, train_teacher
 
 TRAIN = TrainConfig(epochs=2, batch_size=64, learning_rate=2e-3, hidden=8,
                     feature_dim=130, eval_every=5, seed=3)
@@ -107,7 +108,7 @@ def _reference_train_main(train, weights, cfg, eval_suite=None, teacher=None):
             losses, grads = loss_and_grad(params, X[idx], targets, w, offset)
             opt.update(params, grads)
             step += 1
-            p0, p25, p50, p75, p100 = loss_percentiles(losses)
+            p0, p25, p50, p75, p100 = nearest_rank_percentiles(losses)
             rec = {"step": step, "mean_loss": float(losses.mean()),
                    "p0": p0, "p25": p25, "p50": p50, "p75": p75, "p100": p100,
                    "alpha": alpha, "clamped": grads.clamped}
