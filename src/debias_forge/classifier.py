@@ -22,17 +22,17 @@ bit for bit; Gradients.arrays() gives the dense gradient.
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, NumericError, SchemaError, open_text
 from .rng import substream
+from .synthgen import Columns, ragged_rows
 
 LOG_EPS = 1e-12
 # rows featurized per numpy block in Featurizer.matrix
-_BLOCK_ROWS = 2048
+_BLOCK_ROWS = 512
 _HASH_MUL_A = np.uint32(1_000_003)
 _HASH_MUL = np.uint32(2_654_435_761)
 
@@ -53,34 +53,37 @@ class Featurizer:
             )
 
     def matrix(self, examples) -> sp.csr_matrix:
-        """The (n, dim) CSR matrix of feature counts, one row per example."""
-        data, indices = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
-        indptr = [np.zeros(1, dtype=np.int64)]
-        for start in range(0, len(examples), _BLOCK_ROWS):
-            d, idx, ptr = self._block(examples[start:start + _BLOCK_ROWS], start)
-            data.append(d)
-            indices.append(idx)
-            indptr.append(ptr + indptr[-1][-1])
-        return sp.csr_matrix(
-            (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)),
-            shape=(len(examples), self.dim),
-        )
+        """The (n, dim) CSR matrix of feature counts, one row per example
+        (Columns, or a list of Examples). Each block of rows is written into
+        arrays of the final dtypes, with room for every feature of every row,
+        which are then trimmed in place to the summed counts."""
+        cols = Columns.of(examples)
+        n, (len_a, len_b) = len(cols), (np.diff(offsets) for _, offsets in cols.segments)
+        room = int((len_a + len_b + len_a * len_b).sum())
+        index = np.int32 if max(n, self.dim, room) < 2**31 else np.int64
+        data, indices, indptr = np.empty(room), np.empty(room, index), np.zeros(n + 1, index)
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            at = indptr[start]
+            ends = self._block(cols, start, stop, data[at:], indices[at:])
+            indptr[start + 1:stop + 1] = at + ends
+        data.resize(indptr[-1], refcheck=False)  # in place: nothing else holds them
+        indices.resize(indptr[-1], refcheck=False)
+        return sp.csr_matrix((data, indices, indptr), shape=(n, self.dim))
 
-    def _block(self, examples, first_row: int):
-        """(data, indices, indptr[1:]) of matrix() over a block of rows:
-        per row, sorted feature dims with summed counts."""
-        n, V, dim = len(examples), self.vocab_size, self.dim
-        len_a = np.fromiter((len(ex.segment_a) for ex in examples), np.int64, n)
-        len_b = np.fromiter((len(ex.segment_b) for ex in examples), np.int64, n)
-        tok_a = np.fromiter(chain.from_iterable(ex.segment_a for ex in examples),
-                            np.int64, int(len_a.sum()))
-        tok_b = np.fromiter(chain.from_iterable(ex.segment_b for ex in examples),
-                            np.int64, int(len_b.sum()))
+    def _block(self, cols, start: int, stop: int, data, indices):
+        """Write the entries of rows start:stop of matrix() to the heads of
+        data and indices, per row sorted feature dims with summed counts;
+        return each row's end among them."""
+        n, V, dim = stop - start, self.vocab_size, self.dim
+        (tok_a, len_a), (tok_b, len_b) = (
+            (tokens[offsets[start]:offsets[stop]], np.diff(offsets[start:stop + 1]))
+            for tokens, offsets in cols.segments)
         toks = np.concatenate([tok_a, tok_b])
         if toks.size and (toks.min() < 0 or toks.max() >= V):
-            row, tok = next((i, t) for i, ex in enumerate(examples)
-                            for t in chain(ex.segment_a, ex.segment_b) if not 0 <= t < V)
-            raise DataError(f"example {first_row + row}: token {tok} outside [0, {V})")
+            row, tok = next((i, t) for i, ex in enumerate(cols[start:stop])
+                            for t in ex.segment_a + ex.segment_b if not 0 <= t < V)
+            raise DataError(f"example {start + row}: token {tok} outside [0, {V})")
 
         rows = np.arange(n, dtype=np.int64)
         # pairs in row-major (a, b) order: a-token i of a row meets each b-token
@@ -100,8 +103,8 @@ class Featurizer:
             pair_row * dim + pair_dim,
         ])
         uniq, counts = np.unique(keys, return_counts=True)
-        ptr = np.cumsum(np.bincount(uniq // dim, minlength=n))
-        return counts.astype(np.float64), uniq % dim, ptr
+        data[:uniq.size], indices[:uniq.size] = counts, uniq % dim
+        return np.cumsum(np.bincount(uniq // dim, minlength=n))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +411,10 @@ class MinibatchRun:
 
     def step(self, idx, targets, weights, logit_offset=None):
         """One optimizer step on rows idx; returns (per-example losses, gradients)."""
-        losses, grads = loss_and_grad(self.params, self.X[idx], targets, weights, logit_offset)
+        at, indptr = ragged_rows(self.X.indptr, idx)  # X[idx], without scipy's fancy indexing
+        X = sp.csr_matrix((self.X.data[at], self.X.indices[at], indptr),
+                          shape=(len(idx), self.X.shape[1]))
+        losses, grads = loss_and_grad(self.params, X, targets, weights, logit_offset)
         if not np.all(np.isfinite(losses)):
             raise NumericError(f"non-finite loss at step {self.state.step}")
         self.params, self.state = opt_step(self.params, grads, self.state)

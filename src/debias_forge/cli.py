@@ -369,11 +369,11 @@ def cmd_train(args) -> int:
             raise ConfigError(f"method {t_cfg.method!r} requires --weights (or train.weights_path)")
         weights = load_bias_weights(weights_path, train.num_labels)
         inputs.append(weights_path)
-        kept = [ex for ex in train.examples if ex.id in weights.entries]
-        dropped = len(train.examples) - len(kept)
-        if dropped:
-            logger.info("dropping %d examples without bias weights (shallow subset)", dropped)
-            train = replace(train, examples=kept)
+        kept = train.without(set(train.examples.ids.tolist()) - weights.entries.keys())
+        if len(kept) < len(train):
+            logger.info("dropping %d examples without bias weights (shallow subset)",
+                        len(train) - len(kept))
+            train = kept
 
     eval_suite = None
     if args.eval_dir:

@@ -10,7 +10,7 @@ from itertools import chain
 
 import numpy as np
 
-from .classifier import Featurizer, MinibatchRun, Model, check_run_config
+from .classifier import Featurizer, MinibatchRun, Model, check_model_data, check_run_config
 from .errors import ConfigError, DataError, read_json_lines
 from .rng import substream
 from .synthgen import bias_oracle_predict
@@ -107,11 +107,11 @@ class ShallowRun:
         """Pick the seeded subset, featurize it and initialize; no epochs yet."""
         cfg.validate(train_size=len(train))
         pick = substream(cfg.seed, "subsample").permutation(len(train))[:cfg.sample_size]
-        subset = [train.examples[int(i)] for i in sorted(pick)]
+        subset = train.examples.take(np.sort(pick))
         featurizer = Featurizer(vocab_size=train.vocab_size, dim=cfg.feature_dim)
-        onehot = np.eye(train.num_labels)[[ex.label for ex in subset]]
+        onehot = np.eye(train.num_labels)[subset.labels]
         return cls(cfg=cfg, featurizer=featurizer, onehot=onehot,
-                   subset_ids=set(ex.id for ex in subset),
+                   subset_ids=set(subset.ids.tolist()),
                    loop=MinibatchRun(featurizer.matrix(subset), train.num_labels, cfg))
 
 
@@ -147,13 +147,10 @@ def compute_bias_weights(shallow: Model, unseen) -> BiasWeights:
     if not len(unseen):
         raise DataError("no unseen examples left after removing the shallow subset")
     probs = shallow.predict_proba(unseen)
-    entries = {}
-    for ex, p in zip(unseen, probs):
-        entries[ex.id] = {
-            "p_b": p.tolist(),
-            "p_b_correct": float(p[ex.label]),
-            "predicted": int(np.argmax(p)),
-        }
+    correct = probs[np.arange(len(unseen)), unseen.labels()]
+    entries = {ex_id: {"p_b": p, "p_b_correct": c, "predicted": k}
+               for ex_id, p, c, k in zip(unseen.examples.ids.tolist(), probs.tolist(),
+                                         correct.tolist(), probs.argmax(axis=1).tolist())}
     return BiasWeights(entries=entries, num_labels=unseen.num_labels)
 
 
@@ -243,6 +240,7 @@ def stability_study(train, cfg: ShallowConfig, n_runs: int, eval_ds):
     of eval_ds. Returns one row per run."""
     if n_runs < 2:
         raise ConfigError("stability study needs n_runs >= 2")
+    check_model_data(eval_ds, train.num_labels, train.vocab_size)  # before any run trains
     gold = eval_ds.labels()
     easy = eval_ds.oracle_easy()
     rows = []

@@ -17,6 +17,7 @@ Vocabulary layout (disjoint ranges):
 import hashlib
 import json
 from dataclasses import dataclass, field, asdict, replace
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -78,16 +79,88 @@ class Example(NamedTuple):
     bias_token: int | None = None
 
 
+def ragged_rows(offsets, rows):
+    """(positions, offsets): where the items of the given rows of a ragged
+    array, row i of which holds items offsets[i]:offsets[i + 1], lie, row
+    after row, and the offsets of the rows among them."""
+    starts, lengths = offsets[rows], offsets[rows + 1] - offsets[rows]
+    out = _offsets(lengths)  # int64 positions: numpy indexes with them without a cast
+    return np.repeat(starts - out[:-1], lengths) + np.arange(out[-1]), out.astype(offsets.dtype)
+
+
+def _offsets(lengths):
+    return np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """Examples as numpy columns: int64 ids and labels, int8 indices into
+    BIAS_TAGS, int64 bias tokens (-1 for None) and per segment a (tokens,
+    offsets) pair: the int64 tokens of all rows, flat, and where each row's
+    start and end. Iterating builds Examples on demand, as does an int
+    index; a slice, or take(rows), gives Columns of those rows."""
+    ids: np.ndarray
+    labels: np.ndarray
+    tags: np.ndarray
+    bias_tokens: np.ndarray
+    segments: tuple
+
+    @classmethod
+    def of(cls, examples):
+        """examples as Columns: Columns as they are, a list of Examples packed."""
+        if isinstance(examples, cls):
+            return examples
+        ids, seg_a, seg_b, labels, tags, tokens = zip(*examples) if examples else [()] * 6
+        return cls(np.array(ids, np.int64), np.array(labels, np.int64),
+                   np.array([BIAS_TAGS.index(t) for t in tags], np.int8),
+                   np.array([-1 if t is None else t for t in tokens], np.int64),
+                   tuple((np.fromiter(chain.from_iterable(segs), np.int64),
+                          _offsets(list(map(len, segs)))) for segs in (seg_a, seg_b)))
+
+    def __post_init__(self):
+        for a in (self.ids, self.labels, self.tags, self.bias_tokens, *chain(*self.segments)):
+            a.flags.writeable = False  # shared by every Dataset replace()d from one
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __iter__(self):
+        (ta, oa), (tb, ob) = ((t.tolist(), o.tolist()) for t, o in self.segments)
+        return map(Example, self.ids.tolist(), map(lambda i, j: tuple(ta[i:j]), oa, oa[1:]),
+                   map(lambda i, j: tuple(tb[i:j]), ob, ob[1:]), self.labels.tolist(),
+                   map(BIAS_TAGS.__getitem__, self.tags.tolist()),
+                   [None if t < 0 else t for t in self.bias_tokens.tolist()])
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(np.arange(len(self))[key])
+        return next(iter(self.take([range(len(self))[key]])))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (Columns, list)) else NotImplemented
+
+    def take(self, rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        segments = tuple((t[at], o) for t, (at, o) in
+                         ((t, ragged_rows(o, rows)) for t, o in self.segments))
+        return Columns(self.ids[rows], self.labels[rows], self.tags[rows],
+                       self.bias_tokens[rows], segments)
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """A list of Examples and their label and vocabulary sizes. matrix()
-    featurizes the examples once per featurizer and keeps the matrix as long
-    as the Dataset; a replace()d Dataset starts with none."""
-    examples: list
+    """Examples as Columns (a list of Examples is packed) and their label
+    and vocabulary sizes. matrix() featurizes the examples once per
+    featurizer and keeps the matrix as long as the Dataset; a replace()d
+    Dataset starts with none."""
+    examples: Columns
     num_labels: int
     vocab_size: int
     provenance: dict = field(default_factory=dict)
     _matrices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "examples", Columns.of(self.examples))
 
     def __len__(self):
         return len(self.examples)
@@ -103,15 +176,16 @@ class Dataset:
         return self._matrices[featurizer]
 
     def labels(self) -> np.ndarray:
-        return np.array([ex.label for ex in self.examples], dtype=np.int64)
+        return self.examples.labels
 
     def without(self, ids, limit=None):
         """The Dataset of the first `limit` (default: all) examples whose id is not in ids."""
-        return replace(self, examples=[ex for ex in self.examples if ex.id not in ids][:limit])
+        keep = np.fromiter((i not in ids for i in self.examples.ids.tolist()), bool, len(self))
+        return replace(self, examples=self.examples.take(np.flatnonzero(keep)[:limit]))
 
     def oracle_easy(self) -> np.ndarray:
         """True where the bias oracle predicts the gold label, false where it errs or abstains."""
-        return np.array([bias_oracle_predict(ex) == ex.label for ex in self.examples], dtype=bool)
+        return self.examples.bias_tokens == self.examples.labels
 
 
 def _round_half_up(x: float) -> int:
@@ -313,47 +387,51 @@ def _draw(cfg: SynthConfig, lanes: _Lanes, anti: bool):
     return ab, segs, wrong
 
 
-def _examples(cfg: SynthConfig, draws, first_id: int, split: str) -> list:
-    """The examples of the draws of _draw, ids from first_id on."""
+def _examples(cfg: SynthConfig, draws, split: str):
+    """The columns of the examples of the draws of _draw: labels, bias
+    tokens (-1 for none), then per segment its flat tokens and the length
+    of each row's."""
     ab, segs, wrong = draws
     K, lo = cfg.num_labels, cfg.noise_range[0]
     a, b = ab[:, 0].astype(np.int64), ab[:, 1].astype(np.int64)
     labels = (a + b) % K
+    if split == "anti_biased":
+        wrong = wrong.astype(np.int64)
+        codes = wrong + (wrong >= labels)
+    else:
+        codes = labels if split == "biased" else np.full(len(labels), -1, np.int64)
     j = np.arange(cfg.tokens_per_segment)
-    tokens = []
-    for (keep, fill, pos), sig in zip(segs, (K + a, 2 * K + b)):
+    columns = [labels, codes]
+    for seg, ((keep, fill, pos), sig) in enumerate(zip(segs, (K + a, 2 * K + b))):
         fill, pos = fill.astype(np.int64) + lo, pos.astype(np.int64)[:, None]
         # the kept fillers in order, the signal token inserted at pos
         fillers = np.take_along_axis(fill, np.argsort(~keep, axis=1, kind="stable"), axis=1)
         fillers = np.pad(fillers, ((0, 0), (0, 1)))
         toks = np.where(j == pos, sig[:, None], np.take_along_axis(fillers, j - (j > pos), axis=1))
         lengths = keep.sum(axis=1) + 1
-        tokens.append([tuple(line[:c]) for line, c in zip(toks.tolist(), lengths.tolist())])
-    ids, label_list = range(first_id, first_id + len(labels)), labels.tolist()
-    if split == "anti_biased":
-        wrong = wrong.astype(np.int64)
-        codes = (wrong + (wrong >= labels)).tolist()
-    elif split == "biased":
-        codes = label_list
-    else:
-        return list(map(Example, ids, *tokens, label_list))
-    seg_b = [(code,) + seg for code, seg in zip(codes, tokens[1])]
-    return list(map(Example, ids, tokens[0], seg_b, label_list, [split] * len(codes), codes))
+        if seg and split in ("biased", "anti_biased"):  # segment_b starts with the bias token
+            toks, lengths = np.column_stack([codes, toks]), lengths + 1
+        columns += [toks[np.arange(toks.shape[1]) < lengths[:, None]], lengths]
+    return columns
 
 
-def _draw_examples(cfg: SynthConfig, stream: str, count: int, split: str) -> list:
+def _draw_examples(cfg: SynthConfig, stream: str, count: int, split: str) -> Columns:
     """`count` examples of `split` from substream (cfg.seed, stream), as the
     per-example loop draws them, _BLOCK at a time: walk to each example's
     start, then draw them all from their starts."""
     anti = split == "anti_biased"
     words = _Words(substream(cfg.seed, stream).bit_generator)
-    point, examples = (0, 0, 0), []
-    while len(examples) < count:
-        starts, point = _walk(cfg, words, point, min(_BLOCK, count - len(examples)), anti)
+    point, blocks, drawn = (0, 0, 0), [], 0
+    while drawn < count:
+        starts, point = _walk(cfg, words, point, min(_BLOCK, count - drawn), anti)
         lanes = _Lanes(words, *(np.array(x, dtype=np.int64) for x in zip(*starts)))
-        examples += _examples(cfg, _draw(cfg, lanes, anti), len(examples), split)
+        blocks.append(_examples(cfg, _draw(cfg, lanes, anti), split))
+        drawn += len(starts)
         words.drop_before(point[2] if point[1] else point[0])
-    return examples
+    labels, codes, tokens_a, lengths_a, tokens_b, lengths_b = map(np.concatenate, zip(*blocks))
+    tag = BIAS_TAGS.index(split) if split in BIAS_TAGS else 0
+    return Columns(np.arange(count, dtype=np.int64), labels, np.full(count, tag, np.int8), codes,
+                   ((tokens_a, _offsets(lengths_a)), (tokens_b, _offsets(lengths_b))))
 
 
 def gen_dataset(config: SynthConfig) -> Dataset:
@@ -367,10 +445,6 @@ def gen_dataset(config: SynthConfig) -> Dataset:
     )
 
 
-def _with_bias_token(ex: Example, code: int, tag: str) -> Example:
-    return ex._replace(segment_b=(code,) + ex.segment_b, bias_tag=tag, bias_token=code)
-
-
 def inject_bias(dataset: Dataset, m: float, rho: float, seed: int) -> Dataset:
     """Prepend a label-coded token to round(rho*N) examples.
 
@@ -379,30 +453,29 @@ def inject_bias(dataset: Dataset, m: float, rho: float, seed: int) -> Dataset:
     """
     if not 0.0 <= m <= 1.0 or not 0.0 <= rho <= 1.0:
         raise ConfigError("m and rho must be in [0, 1]")
-    if any(ex.bias_tag != "clean" for ex in dataset.examples):
+    cols = dataset.examples
+    if cols.tags.any():
         raise DataError("dataset already contains bias tags; refuse to re-inject")
     rng = substream(seed, "inject")
-    N = len(dataset)
+    N = len(cols)
     n_manip = _round_half_up(rho * N)
     n_biased = _round_half_up(m * n_manip)
-    order = rng.permutation(N)
-    manip = order[:n_manip]
-    biased_ids = set(int(i) for i in manip[:n_biased])
-    anti_ids = set(int(i) for i in manip[n_biased:])
-    K = dataset.num_labels
-    out = []
-    for idx, ex in enumerate(dataset.examples):
-        if idx in biased_ids:
-            out.append(_with_bias_token(ex, ex.label, "biased"))
-        elif idx in anti_ids:
-            wrong = int(rng.integers(0, K - 1))
-            code = wrong if wrong < ex.label else wrong + 1
-            out.append(_with_bias_token(ex, code, "anti_biased"))
-        else:
-            out.append(ex)
+    manip = rng.permutation(N)[:n_manip]
+    biased, anti = manip[:n_biased], np.sort(manip[n_biased:])
+    # one integers(0, K - 1) per anti-biased example in index order draws
+    # the same stream as this one call
+    wrong = rng.integers(0, dataset.num_labels - 1, len(anti))
+    tags, codes = np.zeros(N, np.int8), np.full(N, -1, np.int64)
+    tags[biased], codes[biased] = BIAS_TAGS.index("biased"), cols.labels[biased]
+    tags[anti], codes[anti] = BIAS_TAGS.index("anti_biased"), wrong + (wrong >= cols.labels[anti])
+    tokens_b, offsets_b = cols.segments[1]
+    coded = codes >= 0
+    segment_b = (np.insert(tokens_b, offsets_b[:-1][coded], codes[coded]),
+                 offsets_b + _offsets(coded))
     prov = dict(dataset.provenance)
     prov["injection"] = {"m": m, "rho": rho, "seed": seed}
-    return Dataset(out, dataset.num_labels, dataset.vocab_size, prov)
+    return Dataset(Columns(cols.ids, cols.labels, tags, codes, (cols.segments[0], segment_b)),
+                   dataset.num_labels, dataset.vocab_size, prov)
 
 
 def make_eval_suite(config: SynthConfig) -> dict:
@@ -438,7 +511,7 @@ def save_dataset(dataset: Dataset, path):
             "provenance": dataset.provenance,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for ex in dataset.examples:  # json writes the segment tuples as lists
+        for ex in dataset:  # built from the columns; json writes the tuples as lists
             fh.write(json.dumps(ex._asdict(), sort_keys=True) + "\n")
 
 
@@ -459,45 +532,73 @@ def load_dataset(path) -> Dataset:
     if not 2 <= header["num_labels"] <= vocab:
         raise DataError(f"{path}: header 'num_labels' must lie in [2, vocab_size {vocab}], "
                         f"got {header['num_labels']}")
-    examples, ids = [], set()
-    for lineno, rec in records:
-        try:
-            ex = Example(
-                id=rec["id"],
-                segment_a=tuple(rec["segment_a"]),
-                segment_b=tuple(rec["segment_b"]),
-                label=rec["label"],
-                bias_tag=rec["bias_tag"],
-                bias_token=rec["bias_token"],
-            )
-        except (KeyError, TypeError) as e:
-            raise DataError(f"{path}:{lineno}: malformed example: {e!r}") from e
-        if ex.bias_tag not in BIAS_TAGS:
-            raise DataError(f"{path}:{lineno}: unknown bias_tag {ex.bias_tag!r}")
-        if type(ex.label) is not int or not 0 <= ex.label < header["num_labels"]:
-            raise DataError(f"{path}:{lineno}: label {ex.label!r} outside "
-                            f"[0, {header['num_labels']})")
-        for seg in (ex.segment_a, ex.segment_b):
-            if seg and not (set(map(type, seg)) == {int} and 0 <= min(seg) and max(seg) < vocab):
-                raise DataError(f"{path}:{lineno}: tokens must be integers in "
-                                f"[0, {vocab}), got {list(seg)}")
-        if type(ex.id) is not int or ex.id in ids:
-            raise DataError(f"{path}:{lineno}: id must be an integer not seen before, "
-                            f"got {ex.id!r}")
-        ids.add(ex.id)
-        token = ex.bias_token
-        if (ex.bias_tag == "clean") != (token is None):
-            raise DataError(f"{path}:{lineno}: bias_tag {ex.bias_tag!r} disagrees with "
-                            f"bias_token {token!r}")
-        if token is not None and not (type(token) is int and 0 <= token < vocab):
-            raise DataError(f"{path}:{lineno}: bias_token {token!r} outside [0, {vocab})")
+    if vocab > 2**63:
+        raise DataError(f"{path}: header 'vocab_size' must be at most 2**63, so that tokens "
+                        f"fit int64, got {vocab}")
+    K, lines, fields, malformed = header["num_labels"], [], [], None
+    try:
+        for lineno, rec in records:
+            fields.append((rec["id"], tuple(rec["segment_a"]), tuple(rec["segment_b"]),
+                           rec["label"], rec["bias_tag"], rec["bias_token"]))
+            lines.append(lineno)
+    except (KeyError, TypeError) as e:
+        malformed = DataError(f"{path}:{lineno}: malformed example: {e!r}")
+    except DataError as e:  # a line read_json_lines refuses
+        malformed = e
+    # the lines before a malformed one are checked as a whole, each rule on
+    # every line; the first line that breaks one reports the first it breaks
+    ids, seg_a, seg_b, labels, tags, tokens = zip(*fields) if fields else [()] * 6
+    tag_col = np.array([BIAS_TAGS.index(t) if type(t) is str and t in BIAS_TAGS else -1
+                        for t in tags], np.int8)
+    (label_col, label_ok), (id_col, id_ok), (token_col, token_ok) = (
+        _int64s(labels, 0, K), _int64s(ids, -2**63, 2**63), _int64s(tokens, 0, vocab))
+    segments, bad_tokens = [], []
+    for segs in (seg_a, seg_b):
+        toks, ok = _int64s(list(chain.from_iterable(segs)), 0, vocab)
+        segments.append((toks, _offsets(list(map(len, segs)))))
+        bad_tokens.append(np.diff(_offsets(~ok)[segments[-1][1]]) > 0)
+    repeated = np.ones(len(fields), bool)
+    repeated[np.unique(id_col, return_index=True)[1]] = False
+    none = np.array([t is None for t in tokens], bool)
+    (toks_b, offsets_b), lengths_b = segments[1], np.diff(segments[1][1])
+    checks = [
+        (tag_col < 0, "unknown bias_tag {tag!r}"),
+        (~label_ok, "label {label!r} outside [0, {K})"),
+        (bad_tokens[0], "tokens must be integers in [0, {V}), got {a}"),
+        (bad_tokens[1], "tokens must be integers in [0, {V}), got {b}"),
+        (np.array([type(i) is not int for i in ids], bool) | repeated,
+         "id must be an integer not seen before, got {id!r}"),
+        (~id_ok, "id {id} outside the int64 range [-2**63, 2**63)"),
+        ((tag_col == 0) != none, "bias_tag {tag!r} disagrees with bias_token {token!r}"),
+        (~none & ~token_ok, "bias_token {token!r} outside [0, {V})"),
         # the rules inject_bias and the eval suite's biased splits follow
-        if token is not None and ex.segment_b[:1] != (token,):
-            raise DataError(f"{path}:{lineno}: bias_token {token} is not the first "
-                            f"token of segment_b {list(ex.segment_b)}")
-        if token is not None and (token == ex.label) != (ex.bias_tag == "biased"):
-            raise DataError(f"{path}:{lineno}: a {ex.bias_tag} example's bias_token must "
-                            f"{'equal' if ex.bias_tag == 'biased' else 'differ from'} "
-                            f"its label {ex.label}, got {token}")
-        examples.append(ex)
-    return Dataset(examples, header["num_labels"], header["vocab_size"], header.get("provenance", {}))
+        (~none & ((lengths_b == 0) | (np.append(toks_b, -1)[offsets_b[:-1]] != token_col)),
+         "bias_token {token} is not the first token of segment_b {b}"),
+        (~none & ((token_col == label_col) != (tag_col == BIAS_TAGS.index("biased"))),
+         "a {tag} example's bias_token must {must} its label {label}, got {token}"),
+    ]
+    failing = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks) if mask.any()]
+    if failing:
+        i, k = min(failing)
+        raise DataError(f"{path}:{lines[i]}: " + checks[k][1].format(
+            tag=tags[i], label=labels[i], a=list(seg_a[i]), b=list(seg_b[i]), id=ids[i],
+            token=tokens[i], K=K, V=vocab, must="equal" if tags[i] == "biased" else "differ from"))
+    if malformed:
+        raise malformed
+    columns = Columns(id_col, label_col, tag_col, np.where(none, -1, token_col), tuple(segments))
+    return Dataset(columns, K, vocab, header.get("provenance", {}))
+
+
+def _int64s(values, lo: int, hi: int):
+    """(column, ok): values as an int64 array, and where they are integers
+    in [lo, hi), a range within int64; the column reads 0 elsewhere."""
+    if set(map(type, values)) <= {int}:  # the common case: range-check in numpy
+        try:
+            column = np.array(values, np.int64)
+        except OverflowError:  # an integer past int64
+            pass
+        else:
+            ok = (lo <= column) & (column <= hi - 1)
+            return np.where(ok, column, 0), ok
+    ok = np.fromiter((type(v) is int and lo <= v < hi for v in values), bool, len(values))
+    return np.array([v if k else 0 for v, k in zip(values, ok)], np.int64), ok

@@ -68,12 +68,11 @@ def train_main(train, weights, cfg: TrainConfig, eval_suite=None, teacher=None):
     if cfg.method != "baseline_ce":
         if weights is None:
             raise ConfigError(f"method {cfg.method!r} requires bias weights")
-        p_b = np.empty((n, K))
-        for i, ex in enumerate(train.examples):
-            entry = weights.entries.get(ex.id)
-            if entry is None:
-                raise DataError(f"no bias weights for training example id {ex.id}")
-            p_b[i] = entry["p_b"]
+        ids = train.examples.ids.tolist()
+        missing = next((i for i in ids if i not in weights.entries), None)
+        if missing is not None:
+            raise DataError(f"no bias weights for training example id {missing}")
+        p_b = np.array([weights.entries[i]["p_b"] for i in ids], dtype=np.float64)
 
     p_t = None
     if cfg.method == "conf_reg":

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from debias_forge.classifier import (
 )
 from debias_forge.errors import ConfigError, DataError, NumericError, SchemaError
 from debias_forge.objectives import scale_teacher
-from debias_forge.synthgen import Dataset, Example
+from debias_forge.synthgen import Dataset, Example, SynthConfig, gen_dataset, inject_bias
+from debias_forge.trainer import TrainConfig
 
 
 V, D, H, K = 20, 48, 8, 3
@@ -111,6 +113,46 @@ def test_matrix_rejects_out_of_range_tokens(bad):
     f = Featurizer(vocab_size=V, dim=D)
     with pytest.raises(DataError, match="example 1"):
         f.matrix([_example([1], [2]), _example([3], [bad])])
+
+
+def test_matrix_peak_allocation_stays_near_its_output():
+    """Featurizing a 20k-example set at the default sizes allocates, at its
+    peak, at most the output's own bytes on top of them: each block is
+    written into the final arrays, not concatenated and copied down."""
+    ds = inject_bias(gen_dataset(SynthConfig(seed=3)), m=0.9, rho=0.3, seed=3)
+    featurizer = Featurizer(ds.vocab_size, 2064)
+    tracemalloc.start()
+    try:
+        X = featurizer.matrix(ds.examples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+    assert peak - nbytes <= nbytes, (peak, nbytes)
+
+
+def test_minibatch_step_gathers_rows_like_fancy_indexing(monkeypatch):
+    rng = np.random.default_rng(5)
+    # a third of the rows have no tokens, so no features
+    examples = [_example(rng.integers(0, V, k).tolist(), rng.integers(0, V, k).tolist())
+                for k in rng.integers(0, 3, 60)]
+    X = Featurizer(V, D).matrix(examples)
+    run = classifier.MinibatchRun(X, K, TrainConfig(hidden=H))
+    batches, loss_and_grad = [], classifier.loss_and_grad
+
+    def recording(params, batch, *args):
+        batches.append(batch)
+        return loss_and_grad(params, batch, *args)
+
+    monkeypatch.setattr(classifier, "loss_and_grad", recording)
+    empty = np.flatnonzero(np.diff(X.indptr) == 0)
+    for idx in (rng.permutation(60)[:32], empty, empty[:1], np.arange(60), rng.permutation(60)):
+        run.step(idx, np.eye(K)[rng.integers(0, K, idx.size)], np.ones(idx.size))
+        got, want = batches[-1], X[idx]
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_featurizer_rejects_small_dim():

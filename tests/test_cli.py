@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import debias_forge
+from debias_forge import shallow
 from debias_forge.classifier import Model, load_checkpoint
 from debias_forge.cli import (
     DEFAULTS, _parse_override, _pieces_per_seed, config_digest, config_of, main,
@@ -438,6 +439,20 @@ def test_report_on_data_of_other_label_count_exits_3(pipeline, tmp_path, kind):
     assert _run("report", "--kind", kind, "--config", pipeline["conf"], *argv,
                 "--out-dir", str(rep), "--seed", "5", "--quiet") == 3
     assert _written(rep, "*.csv", "*.json") == []
+
+
+def test_stability_eval_of_other_label_count_exits_3_before_training(conf, tmp_path, monkeypatch):
+    data, k5 = tmp_path / "data", tmp_path / "k5"
+    for out, sets in ((data, []), (k5, ["--set", "data.num_labels=5"])):
+        assert _run("generate", "--config", conf, "--out-dir", str(out), *sets,
+                    "--seed", "5", "--quiet") == 0
+    calls, train_shallow = [], shallow.train_shallow
+    monkeypatch.setattr(shallow, "train_shallow",
+                        lambda *args, **kw: calls.append(1) or train_shallow(*args, **kw))
+    assert _run("report", "--kind", "stability", "--config", conf,
+                "--data", str(data / "train.jsonl"), "--eval", str(k5 / "eval_original.jsonl"),
+                "--out-dir", str(tmp_path / "rep"), "--seed", "5", "--quiet") == 3
+    assert calls == []
 
 
 def test_report_histogram_scores_its_split_once(pipeline, tmp_path, monkeypatch):

@@ -5,13 +5,15 @@ from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_classifier import _stacked_featurize
 
 from debias_forge.classifier import Featurizer
 from debias_forge.errors import ConfigError, DataError
 from debias_forge.rng import substream
 from debias_forge.synthgen import (
-    Dataset, Example, SynthConfig, bias_oracle_predict, gen_dataset, inject_bias,
-    load_dataset, make_eval_suite, save_dataset,
+    BIAS_TAGS, Dataset, Example, SynthConfig, _round_half_up, bias_oracle_predict, gen_dataset,
+    inject_bias, load_dataset, make_eval_suite, save_dataset,
 )
 
 
@@ -192,7 +194,9 @@ def test_load_rejects_bad_files(tmp_path):
                        # a label is a bias token, so 2 <= num_labels <= vocab_size
                        {"num_labels": 1, "vocab_size": 60},
                        {"num_labels": 61, "vocab_size": 60},
-                       {"num_labels": 2**40, "vocab_size": 60}):
+                       {"num_labels": 2**40, "vocab_size": 60},
+                       # tokens are int64
+                       {"num_labels": 3, "vocab_size": 2**63 + 1}):
         badhead = tmp_path / "badhead.jsonl"
         badhead.write_text(json.dumps(bad_header) + "\n" + rec + "\n")
         with pytest.raises(DataError, match="header"):
@@ -208,6 +212,7 @@ def test_load_rejects_bad_files(tmp_path):
             "bias_tag": "clean", "bias_token": None}
     for recs in ([good, dict(good, segment_a=[3])],            # duplicate id
                  [dict(good, id="x")], [dict(good, id=True)],   # non-integer id
+                 [good, dict(good, id=2**63)], [dict(good, id=2**64 - 1)],  # past int64
                  [dict(good, bias_token=2)],                   # clean with a token
                  [dict(good, bias_tag="biased")],              # biased without one
                  [dict(good, bias_tag="anti_biased", bias_token=60)],  # outside the vocab
@@ -328,3 +333,84 @@ def test_bulk_generation_equals_per_example_loop(cfg, tmp_path):
         save_dataset(ds, tmp_path / "got.jsonl")
         save_dataset(want[split], tmp_path / "want.jsonl")
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+def _reference_inject(dataset, m, rho, seed):
+    """The per-example loop that inject_bias draws as: one permutation, then
+    one integers(0, K - 1) per anti-biased example, in index order."""
+    rng = substream(seed, "inject")
+    n_manip = _round_half_up(rho * len(dataset))
+    n_biased = _round_half_up(m * n_manip)
+    manip = rng.permutation(len(dataset))[:n_manip].tolist()
+    biased, anti = set(manip[:n_biased]), set(manip[n_biased:])
+    out = []
+    for i, ex in enumerate(dataset):
+        if i in biased or i in anti:
+            wrong = int(rng.integers(0, dataset.num_labels - 1)) if i in anti else None
+            code = ex.label if wrong is None else wrong + (wrong >= ex.label)
+            tag = "biased" if wrong is None else "anti_biased"
+            ex = ex._replace(segment_b=(code,) + ex.segment_b, bias_tag=tag, bias_token=code)
+        out.append(ex)
+    return out
+
+
+@pytest.mark.parametrize("K", [2, 3, 5, 2**33])
+def test_inject_bias_equals_per_example_loop(K):
+    rng = np.random.default_rng(K % 97)
+
+    def segment():  # empty a quarter of the time
+        return tuple(rng.integers(0, 60, rng.integers(0, 4)).tolist())
+
+    for trial in range(20):
+        examples = [Example(int(rng.integers(-50, 50)), segment(), segment(),
+                            int(rng.integers(0, min(K, 60)))) for _ in range(rng.integers(0, 80))]
+        clean = Dataset(examples, K, 3 * K + 60)
+        m, rho, seed = float(rng.random()), float(rng.random()), int(rng.integers(0, 1000))
+        assert list(inject_bias(clean, m, rho, seed)) == _reference_inject(clean, m, rho, seed)
+
+
+@st.composite
+def _valid_examples(draw):
+    """Examples that load_dataset takes under K=3 and V=60: distinct int64
+    ids, and bias tokens that keep the rules."""
+    examples = []
+    for ex_id in draw(st.lists(st.integers(-2**63, 2**63 - 1), unique=True, max_size=12)):
+        label, tag = draw(st.integers(0, 2)), draw(st.sampled_from(BIAS_TAGS))
+        seg_a, seg_b = (tuple(draw(st.lists(st.integers(0, 59), max_size=5))) for _ in "ab")
+        token = {"clean": None, "biased": label}.get(
+            tag, draw(st.sampled_from([k for k in range(3) if k != label])))
+        if token is not None:
+            seg_b = (token,) + seg_b
+        examples.append(Example(ex_id, seg_a, seg_b, label, tag, token))
+    return examples
+
+
+@pytest.fixture(scope="module")
+def roundtrip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("columns")
+
+
+@settings(max_examples=150, deadline=None)
+@given(examples=_valid_examples(), data=st.data())
+def test_columns_keep_every_example(roundtrip_dir, examples, data):
+    ds = Dataset(examples, 3, 60)
+    assert list(ds) == list(ds.examples) == examples and len(ds) == len(examples)
+    assert ds.examples[:] == examples and ds.examples[1::2] == examples[1::2]
+    assert [ds.examples[i] for i in range(-len(examples), len(examples))] == examples * 2
+    assert ds.labels().tolist() == [ex.label for ex in examples]
+    assert ds.oracle_easy().tolist() == [bias_oracle_predict(ex) == ex.label for ex in examples]
+    first, second = roundtrip_dir / "a.jsonl", roundtrip_dir / "b.jsonl"
+    save_dataset(ds, first)
+    loaded = load_dataset(first)
+    assert list(loaded) == examples
+    save_dataset(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    ids = data.draw(st.sets(st.sampled_from([ex.id for ex in examples] or [0]) | st.integers()))
+    limit = data.draw(st.none() | st.integers(0, 12))
+    assert list(ds.without(ids, limit)) == [ex for ex in examples if ex.id not in ids][:limit]
+    f = Featurizer(60, 130)
+    got, want = ds.matrix(f), _stacked_featurize(f, examples)
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
