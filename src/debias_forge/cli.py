@@ -393,17 +393,10 @@ def cmd_train(args) -> int:
     if t_cfg.method == "conf_reg":
         teacher_digest = config_digest({**cfg, "train.method": "baseline_ce"})
         teacher_path = os.path.join(args.out_dir, f"teacher-{teacher_digest}.ckpt.json")
-        if os.path.exists(teacher_path):
-            teacher = load_checkpoint(teacher_path)
-            logger.info("reusing cached teacher %s", teacher_path)
-        elif args.no_auto_teacher:
-            raise ConfigError("method conf_reg needs a teacher; rerun without "
-                              "--no-auto-teacher or provide the cached checkpoint")
-        else:
-            teacher = train_teacher(train, t_cfg)
-            save_checkpoint(teacher, teacher_path, config_digest=teacher_digest)
-            outputs.append(teacher_path)
-            logger.info("trained and cached teacher at %s", teacher_path)
+        teacher = train_teacher(train, t_cfg)
+        save_checkpoint(teacher, teacher_path, config_digest=teacher_digest)
+        outputs.append(teacher_path)
+        logger.info("trained the teacher and wrote %s", teacher_path)
 
     model, metrics = train_main(train, weights, t_cfg, eval_suite=eval_suite, teacher=teacher)
 
@@ -614,8 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None, help="bias-weights JSONL")
     p.add_argument("--eval-dir", default=None,
                    help="directory with eval_<split>.jsonl for trajectory telemetry")
-    p.add_argument("--no-auto-teacher", action="store_true",
-                   help="fail instead of training a missing conf_reg teacher")
 
     p = sub.add_parser("report", parents=[common], help="emit CSV/JSON analysis reports")
     p.add_argument("--kind", required=True, choices=REPORT_KINDS)

@@ -203,11 +203,12 @@ def _round_half_up(x: float) -> int:
 # u * r >> 32, drawing again while the low 32 bits of u * r are below
 # (2**32 - r) % r. A wider range does the same on whole words, and a range of
 # one draws nothing. So where an example starts in the stream depends on the
-# values of the examples before it: _walk finds the starts one example after
-# another with integer arithmetic, and _Lanes then draws the values of many
-# examples at once, each from its own start.
+# values of the examples before it: _walk steps through the examples one after
+# another with integer arithmetic, taking each single value from the unit it
+# accepts and noting where the keep masks and fillers lie, and _gather then
+# reads those out of the words for many examples at once.
 
-_BLOCK = 1024  # examples walked and drawn together
+_BLOCK = 1024  # examples walked and gathered together
 _M32 = np.uint64(0xFFFFFFFF)
 _U32, _U11 = np.uint64(32), np.uint64(11)
 
@@ -218,16 +219,6 @@ def _mulhi64(x, y):
     y0, y1 = y & _M32, y >> _U32
     mid = (x0 * y0 >> _U32) + (x1 * y0 & _M32) + (x0 * y1 & _M32)
     return x1 * y1 + (x1 * y0 >> _U32) + (x0 * y1 >> _U32) + (mid >> _U32)
-
-
-def _accepted(units, r: int, wide: bool):
-    """Whether a Lemire draw from a range of r accepts each unit: a whole
-    word if wide, else a 32-bit half."""
-    bits = 64 if wide else 32
-    low = units * np.uint64(r)
-    if not wide:
-        low &= _M32
-    return low >= np.uint64((2**bits - r) % r)
 
 
 class _Words:
@@ -245,150 +236,118 @@ class _Words:
         if short > 0:
             self.buf = np.concatenate([self.buf, self.bit_generator.random_raw(short)])
 
-    def take(self, index):
-        self.upto(int(index.max(initial=0)) + 1)
-        return self.buf[index - self.base]
-
     def drop_before(self, i: int):
         self.buf = self.buf[i - self.base:]
         self.base = i
 
 
 def _walk(cfg: SynthConfig, words: _Words, point: tuple, count: int, anti: bool):
-    """The points where the next `count` examples start, the first at
-    `point`, and the point after the last. A point is (w, kept, kw): the
-    next fresh word, and whether the high half of word kw is kept for the
-    next 32-bit draw. Each Generator call takes the units its rule takes;
-    the fillers find their n-th accepted unit from a running count."""
+    """The draws of the next `count` examples, the first starting at
+    `point`, as _gather gives them, and the point after the last. A point is
+    (w, kept, kw): the next fresh word, and whether the high half of word kw
+    is kept for the next 32-bit draw. Each Generator call takes the units
+    its rule takes; the fillers find their n-th accepted unit from a running
+    count. Each example's row holds a and b, per segment the first word of
+    its random(n), the kept half that is its first filler (-1 for none),
+    where in `at` its fresh fillers start and its signal position, and on
+    the anti-biased split the wrong code."""
     K, n, rate = cfg.num_labels, cfg.tokens_per_segment - 1, cfg.noise_token_rate
     lo, hi = cfg.noise_range
     R = hi - lo
     wide = R > 1 << 32
-    starts, ahead = [], count * (4 * n + 8)
-    while len(starts) < count:
+    bits = 64 if wide else 32  # a unit is a whole word or a 32-bit half
+    rows, width, ahead = [], 10 + anti, count * (4 * n + 8)
+    while len(rows) < count * width:
         words.upto(point[0] + ahead)
         b, buf = words.base, words.buf
         x = memoryview(buf)
-        keeps = memoryview(np.append(0, np.cumsum((buf >> _U11) * 2.0 ** -53 < rate)))
+        keep = (buf >> _U11) * 2.0 ** -53 < rate
+        keeps = memoryview(np.append(0, np.cumsum(keep)))
         units = buf if wide else np.stack([buf & _M32, buf >> _U32], axis=1).ravel()
-        acc = _accepted(units, R, wide)
+        # Lemire's test of each unit for a draw from the noise range
+        acc = (units * np.uint64(R) & np.uint64(2**bits - 1)) >= np.uint64((2**bits - R) % R)
         accs, at = memoryview(np.append(0, np.cumsum(acc))), memoryview(np.flatnonzero(acc))
 
-        def draw(w, kept, kw, r, k):
-            """The point after k values from a range of r, one by one."""
+        def draw(w, kept, kw, r):
+            """The point after one value from a range of r, and the value."""
             if r == 1:
-                return w, kept, kw
+                return w, kept, kw, 0
             if r > 1 << 32:
                 t = (2**64 - r) % r
-                while k:
-                    k -= x[w - b] * r % 2**64 >= t
-                    w += 1
-                return w, kept, kw
+                while True:
+                    v, w = x[w - b] * r, w + 1
+                    if v % 2**64 >= t:
+                        return w, kept, kw, v >> 64
             t = (2**32 - r) % r
-            while k:
+            while True:
                 if kept:
                     u, kept = x[kw - b] >> 32, 0
                 else:
                     u, kw, w, kept = x[w - b] & 0xFFFFFFFF, w, w + 1, 1
-                k -= u * r & 0xFFFFFFFF >= t
-            return w, kept, kw
+                v = u * r
+                if v & 0xFFFFFFFF >= t:
+                    return w, kept, kw, v >> 32
 
         def fill(w, kept, kw):
-            """The point after the n fillers."""
+            """The point after the n fillers, the kept half that is the first
+            of them (-1 for none) and where in `at` the fresh ones start."""
             if R == 1 or n == 0:
-                return w, kept, kw
+                return w, kept, kw, -1, 0
             if wide:
-                return b + at[accs[w - b] + n - 1] + 1, kept, kw
-            k = n
+                s = accs[w - b]
+                return b + at[s + n - 1] + 1, kept, kw, -1, s
+            h, k = -1, n
             if kept:  # the kept half comes first
-                h = 2 * (kw - b) + 1
-                k, kept = k - (accs[h + 1] - accs[h]), 0
-                if k == 0:
-                    return w, kept, kw
-            e = at[accs[2 * (w - b)] + k - 1] + 1  # the half after the last taken
-            return b + (e + 1) // 2, e & 1, b + (e + 1) // 2 - 1
+                kept, u = 0, 2 * (kw - b) + 1
+                if accs[u + 1] > accs[u]:
+                    h, k = u, n - 1
+            s = accs[2 * (w - b)]
+            if k == 0:
+                return w, kept, kw, h, s
+            e = at[s + k - 1] + 1  # the half after the last taken
+            return b + (e + 1) // 2, e & 1, b + (e + 1) // 2 - 1, h, s
 
         w, kept, kw = point
         try:  # an IndexError means the walk ran past the drawn words
-            while len(starts) < count:
-                w, kept, kw = draw(w, kept, kw, K, 2)
+            while len(rows) < count * width:
+                w, kept, kw, a = draw(w, kept, kw, K)
+                w, kept, kw, c = draw(w, kept, kw, K)
+                row = [a, c]
                 for _ in range(2):
-                    c = keeps[w - b + n] - keeps[w - b]
-                    w, kept, kw = fill(w + n, kept, kw)
-                    w, kept, kw = draw(w, kept, kw, c + 1, 1)
+                    word = w - b
+                    c = keeps[word + n] - keeps[word]
+                    w, kept, kw, h, s = fill(w + n, kept, kw)
+                    w, kept, kw, pos = draw(w, kept, kw, c + 1)
+                    row += word, h, s, pos
                 if anti:
-                    w, kept, kw = draw(w, kept, kw, K - 1, 1)
-                starts.append(point)
+                    w, kept, kw, wrong = draw(w, kept, kw, K - 1)
+                    row.append(wrong)
+                rows += row  # only whole examples: a retry walks on from point
                 point = w, kept, kw
         except IndexError:
             ahead *= 2
-    return starts, point
+    rows = np.array(rows, np.int64).reshape(count, width)
+    return _gather(cfg, rows, units, np.asarray(at), keep, anti), point
 
 
-class _Lanes:
-    """Copies of one Generator at different points of its stream (see
-    _walk), drawn from together: each method returns, row per lane, what
-    the Generator call of its name returns at that lane's point."""
-
-    def __init__(self, words: _Words, w, kept, kw):
-        self.words, self.w, self.kept, self.kw = words, w, kept, kw
-
-    def random(self, n: int):
-        x = self.words.take(self.w[:, None] + np.arange(n))
-        self.w = self.w + n
-        return (x >> _U11) * 2.0 ** -53
-
-    def integers(self, r, n: int):
-        """integers(0, r, size=n); r is one range or a range per lane."""
-        r = np.broadcast_to(np.asarray(r, dtype=np.uint64), self.w.shape)[:, None]
-        if n == 0:
-            return np.zeros((self.w.size, 0), np.uint64)
-        wide = bool((r > np.uint64(1 << 32)).any())
-        need = np.where(r[:, 0] == 1, 0, n)
-        look = n
-        while True:  # look further until every lane has n accepted units
-            if wide:
-                x = self.words.take(self.w[:, None] + np.arange(look))
-                values, ok = _mulhi64(x, r), x * r >= (np.uint64(0) - r) % r
-            else:
-                f = np.arange(look) - self.kept[:, None]  # fresh half index, -1 the kept one
-                x = self.words.take(np.where(f < 0, self.kw[:, None], self.w[:, None] + f // 2))
-                m = np.where(f & 1, x >> _U32, x & _M32) * r
-                values, ok = m >> _U32, (m & _M32) >= (np.uint64(1 << 32) - r) % r
-            if (ok.sum(axis=1) >= need).all():
-                break
-            look *= 2
-        # each draw takes units up to the first it accepts
-        at = np.argsort(~ok, axis=1, kind="stable")[:, :n]
-        used = np.where(need > 0, at[:, -1] + 1, 0)
-        if wide:
-            self.w = self.w + used
-        else:
-            f = used - self.kept
-            moved = used > 0
-            self.w = self.w + np.where(moved, (f + 1) // 2, 0)
-            self.kw = np.where(moved, self.w - 1, self.kw)
-            self.kept = np.where(moved, f & 1, self.kept)
-        return np.where(need[:, None] > 0, np.take_along_axis(values, at, axis=1), 0)
-
-
-def _draw(cfg: SynthConfig, lanes: _Lanes, anti: bool):
-    """One example per lane, drawn in the per-example loop's order: (a and
-    b, per segment (keep mask, fillers, signal position), wrong code)."""
-    K, n = cfg.num_labels, cfg.tokens_per_segment - 1
-    lo, hi = cfg.noise_range
-    ab = lanes.integers(K, 2)  # two integers(0, K) calls
+def _gather(cfg: SynthConfig, rows, units, at, keep, anti: bool):
+    """The draws of the rows of _walk, in the per-example loop's order: (a
+    and b, per segment (keep mask, fillers, signal position), wrong code).
+    A segment's fillers are the values of its kept half, if any, and then of
+    the accepted units `at` lists from its start on."""
+    n, (lo, hi) = cfg.tokens_per_segment - 1, cfg.noise_range
+    R = np.uint64(hi - lo)
     segs = []
-    for _ in range(2):
-        keep = lanes.random(n) < cfg.noise_token_rate
-        fill = lanes.integers(hi - lo, n)
-        segs.append((keep, fill, lanes.integers(keep.sum(axis=1) + 1, 1)[:, 0]))
-    wrong = lanes.integers(K - 1, 1)[:, 0] if anti else None
-    return ab, segs, wrong
+    for word, h, s, pos in (rows[:, 2:6].T, rows[:, 6:10].T):
+        j = np.arange(n) - (h >= 0)[:, None]  # the fresh filler, -1 for the kept half
+        u = units[np.where(j < 0, h[:, None], at[s[:, None] + j])]
+        fill = _mulhi64(u, R) if R > 1 << 32 else u * R >> _U32
+        segs.append((keep[word[:, None] + np.arange(n)], fill, pos))
+    return rows[:, :2], segs, rows[:, 10] if anti else None
 
 
 def _examples(cfg: SynthConfig, draws, split: str):
-    """The columns of the examples of the draws of _draw: labels, bias
+    """The columns of the examples of the draws of _walk: labels, bias
     tokens (-1 for none), then per segment its flat tokens and the length
     of each row's."""
     ab, segs, wrong = draws
@@ -417,16 +376,13 @@ def _examples(cfg: SynthConfig, draws, split: str):
 
 def _draw_examples(cfg: SynthConfig, stream: str, count: int, split: str) -> Columns:
     """`count` examples of `split` from substream (cfg.seed, stream), as the
-    per-example loop draws them, _BLOCK at a time: walk to each example's
-    start, then draw them all from their starts."""
+    per-example loop draws them, _BLOCK at a time."""
     anti = split == "anti_biased"
     words = _Words(substream(cfg.seed, stream).bit_generator)
-    point, blocks, drawn = (0, 0, 0), [], 0
-    while drawn < count:
-        starts, point = _walk(cfg, words, point, min(_BLOCK, count - drawn), anti)
-        lanes = _Lanes(words, *(np.array(x, dtype=np.int64) for x in zip(*starts)))
-        blocks.append(_examples(cfg, _draw(cfg, lanes, anti), split))
-        drawn += len(starts)
+    point, blocks = (0, 0, 0), []
+    for start in range(0, count, _BLOCK):
+        draws, point = _walk(cfg, words, point, min(_BLOCK, count - start), anti)
+        blocks.append(_examples(cfg, draws, split))
         words.drop_before(point[2] if point[1] else point[0])
     labels, codes, tokens_a, lengths_a, tokens_b, lengths_b = map(np.concatenate, zip(*blocks))
     tag = BIAS_TAGS.index(split) if split in BIAS_TAGS else 0

@@ -404,26 +404,6 @@ def test_train_eval_dir_of_other_label_count_exits_3(pipeline, tmp_path, featuri
     assert _written(out, "model-*", "run-*", "teacher-*") == []
 
 
-def test_conf_reg_cached_teacher_of_other_label_count_exits_3(pipeline, tmp_path):
-    """A K=3 teacher cached under the config digest of a run on K=5 data."""
-    out = pipeline["out"]
-    argv = ["train", "--config", pipeline["conf"], "--set", "train.method=conf_reg",
-            "--seed", "5", "--quiet"]
-    assert _run(*argv, "--data", str(out / "train.jsonl"),
-                "--weights", str(pipeline["weights"]), "--out-dir", str(out)) == 0
-    k5, cached = _k5_suite(pipeline, tmp_path), tmp_path / "cached"
-    cached.mkdir()
-    teacher = next(out.glob("teacher-*.ckpt.json"))
-    (cached / teacher.name).write_bytes(teacher.read_bytes())
-    weights = tmp_path / "k5-weights.jsonl"
-    weights.write_text("".join(
-        json.dumps({"id": ex.id, "p_b": [0.2] * 5, "p_b_correct": 0.2, "predicted": 0}) + "\n"
-        for ex in load_dataset(k5 / "train.jsonl")))
-    assert _run(*argv, "--data", str(k5 / "train.jsonl"), "--weights", str(weights),
-                "--out-dir", str(cached)) == 3
-    assert _written(cached, "*") == [teacher.name]
-
-
 @pytest.mark.parametrize("kind", ["compare", "histogram", "stability"])
 def test_report_on_data_of_other_label_count_exits_3(pipeline, tmp_path, kind):
     out, k5, rep = pipeline["out"], _k5_suite(pipeline, tmp_path), tmp_path / "rep"
@@ -610,22 +590,39 @@ def test_train_missing_weights_exits_2(pipeline):
                 "--out-dir", str(out), "--quiet") == 2
 
 
-def test_conf_reg_teacher_cached(pipeline):
-    out = pipeline["out"]
-    args = ["train", "--config", pipeline["conf"],
-            "--set", "train.method=conf_reg",
-            "--data", str(out / "train.jsonl"),
-            "--weights", str(pipeline["weights"]),
+def _conf_reg_argv(pipeline, data, out):
+    return ["train", "--config", pipeline["conf"], "--set", "train.method=conf_reg",
+            "--data", str(data), "--weights", str(pipeline["weights"]),
             "--out-dir", str(out), "--seed", "5", "--quiet"]
-    assert _run(*args) == 0
-    teachers = list(out.glob("teacher-*.ckpt.json"))
-    assert len(teachers) == 1
-    stamp = teachers[0].stat().st_mtime_ns
-    assert _run(*args) == 0  # second run reuses the cache
-    assert teachers[0].stat().st_mtime_ns == stamp
-    # refusing auto-training must fail before any work when cache is absent
-    teachers[0].unlink()
-    assert _run(*args, "--no-auto-teacher") == 2
+
+
+def test_conf_reg_rerun_rewrites_teacher_with_same_bytes(pipeline):
+    out = pipeline["out"]
+    argv = _conf_reg_argv(pipeline, out / "train.jsonl", out)
+    assert _run(*argv) == 0
+    [teacher] = out.glob("teacher-*.ckpt.json")
+    first = teacher.read_bytes()
+    os.utime(teacher, ns=(0, 0))
+    assert _run(*argv) == 0
+    assert teacher.stat().st_mtime_ns != 0 and teacher.read_bytes() == first
+
+
+def test_conf_reg_trains_its_own_teacher_over_another_data_sets(pipeline, tmp_path):
+    """A teacher trained on other data under the same config digest is
+    overwritten, not reused: the run's bytes equal a run in a fresh dir."""
+    other, shared, fresh = tmp_path / "seed6", tmp_path / "shared", tmp_path / "fresh"
+    assert _run("generate", "--config", pipeline["conf"], "--out-dir", str(other),
+                "--seed", "6", "--quiet") == 0
+    assert _run(*_conf_reg_argv(pipeline, other / "train.jsonl", shared)) == 0
+    [stale] = shared.glob("teacher-*.ckpt.json")
+    stale_bytes = stale.read_bytes()
+    train = pipeline["out"] / "train.jsonl"
+    assert _run(*_conf_reg_argv(pipeline, train, shared)) == 0
+    assert _run(*_conf_reg_argv(pipeline, train, fresh)) == 0
+    assert _written(fresh, "teacher-*") == [stale.name]
+    assert stale.read_bytes() == (fresh / stale.name).read_bytes() != stale_bytes
+    [model] = fresh.glob("model-*.ckpt.json")
+    assert (shared / model.name).read_bytes() == model.read_bytes()
 
 
 def test_conf_reg_train_featurizes_main_set_once(pipeline, featurized):

@@ -12,6 +12,7 @@ from debias_forge.shallow import (
     oracle_band_thresholds, save_bias_weights, stability_study, train_shallow,
     validate_shallow,
 )
+from debias_forge.synthgen import Columns, bias_oracle_predict
 
 
 FAST = ShallowConfig(sample_size=200, epochs=2, learning_rate=5e-3,
@@ -104,6 +105,20 @@ def test_oracle_band(tiny_train, tiny_suite):
     assert th.acc_band == pytest.approx((expect - 0.1, expect + 0.1), abs=1e-12)
     assert oracle_achievable_accuracy(tiny_suite["biased"]) == 1.0
     assert oracle_achievable_accuracy(tiny_suite["anti_biased"]) == 0.0
+
+
+def test_oracle_band_reads_the_columns(tiny_train, monkeypatch):
+    want, chance = 0.0, 1.0 / tiny_train.num_labels
+    for ex in tiny_train:  # the per-example sum, in the same order
+        pred = bias_oracle_predict(ex)
+        want += chance if pred is None else float(pred == ex.label)
+    want /= len(tiny_train)
+
+    def refuse(self):
+        raise AssertionError("built an Example per row")
+
+    monkeypatch.setattr(Columns, "__iter__", refuse)
+    assert oracle_band_thresholds(tiny_train, width=0.1).acc_band == (want - 0.1, want + 0.1)
 
 
 def test_grid_search_prefers_smaller_cells(tiny_train):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_classifier import _stacked_featurize
 
+from debias_forge import synthgen
 from debias_forge.classifier import Featurizer
 from debias_forge.errors import ConfigError, DataError
 from debias_forge.rng import substream
@@ -333,6 +334,26 @@ def test_bulk_generation_equals_per_example_loop(cfg, tmp_path):
         save_dataset(ds, tmp_path / "got.jsonl")
         save_dataset(want[split], tmp_path / "want.jsonl")
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rate=st.sampled_from((0.0, 0.3, 0.6, 1.0)), T=st.integers(1, 9),
+       K=st.sampled_from((2, 3, 5, 7)),
+       vocab=st.sampled_from((1000, 3 * 2**30, 2**32 + 9, 3 * 2**61, 2**63)),
+       train_size=st.integers(1, 60), test_size=st.integers(1, 60), seed=st.integers(0, 999),
+       block=st.integers(1, 40))
+def test_generation_equals_per_example_loop_at_any_block_edge(
+        rate, T, K, vocab, train_size, test_size, seed, block):
+    """Small blocks put block edges after kept halves and after positions
+    that draw nothing, which BULK_GRID's blocks of 1024 do not reach."""
+    cfg = SynthConfig(num_labels=K, train_size=train_size, test_size=test_size,
+                      vocab_size=vocab, tokens_per_segment=T, noise_token_rate=rate, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthgen, "_BLOCK", block)
+        got = {"train": gen_dataset(cfg), **make_eval_suite(cfg)}
+    want = _reference_sets(cfg)
+    for split, ds in got.items():
+        assert ds.examples == want[split].examples, split
 
 
 def _reference_inject(dataset, m, rho, seed):
