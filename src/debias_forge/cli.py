@@ -1,8 +1,10 @@
 """Command-line orchestration: generate -> shallow -> identify -> train ->
 report, driven by a line-oriented key = value config file with dotted
-sections. Every command writes a manifest carrying the resolved-config digest
-and is byte-deterministic given the same inputs and seed (manifest timestamps
-excepted).
+sections. Each command runs in one `Run`, which resolves the config and its
+digest once and makes the out dir at the first output, so a command that
+refuses its input makes none. Its manifest lists the inputs read and the files
+written, also when the command failed after writing some. Every command is
+byte-deterministic given the same inputs and seed (manifest timestamps excepted).
 
 Exit codes: 0 success, 2 config error, 3 data/schema error, 4 numeric
 failure, 5 degenerate shallow model.
@@ -30,7 +32,7 @@ from .evaluation import (
     accuracy, confidence_histogram, proportion_rows, proportion_seed, sweep_report,
     sweep_seed,
 )
-from .objectives import METHODS, AnnealSchedule
+from .objectives import AnnealSchedule
 from .shallow import (
     MAX_UNSEEN, ShallowConfig, ShallowThresholds, compute_bias_weights,
     grid_search_shallow, load_bias_weights, oracle_band_thresholds,
@@ -213,25 +215,55 @@ def shallow_thresholds(cfg: dict, dataset) -> ShallowThresholds:
 
 
 # ---------------------------------------------------------------------------
-# manifests and report output
+# the command frame and report output
 
-def write_manifest(out_dir, command, digest, inputs, outputs, seed, started_at):
-    path = os.path.join(out_dir, f"{command}-{digest}.manifest.json")
-    write_json(path, {
-        "digest": digest, "command": command,
-        "inputs": [str(p) for p in inputs], "outputs": [str(p) for p in outputs],
-        "seed": seed, "version": __version__,
-        "started_at": started_at, "finished_at": time.time(),
-    })
-    return path
+# the config key of the seed that each command's manifest records
+MANIFEST_SEEDS = {"generate": "data.seed", "shallow": "shallow.seed",
+                  "identify": "shallow.seed", "train": "train.seed", "report": "data.seed"}
+
+
+class Run:
+    """One command's frame: its resolved config and digest, the inputs it
+    reads and the outputs it writes, which its manifest lists."""
+
+    def __init__(self, args):
+        self.args = args
+        self.cfg = resolve_config(args.config, args.overrides, args.seed)
+        self.digest = config_digest(self.cfg)
+        self.inputs, self.outputs, self.started = [], [], time.time()
+
+    def read(self, path):
+        """path, recorded as an input."""
+        self.inputs.append(path)
+        return path
+
+    def output(self, name):
+        """The out-dir path of name with {} filled by the digest, recorded as
+        an output; a command that writes nothing makes no out dir."""
+        os.makedirs(self.args.out_dir, exist_ok=True)
+        path = os.path.join(self.args.out_dir, name.format(self.digest))
+        self.outputs.append(path)
+        return path
+
+    def finish(self):
+        """Write the manifest of the outputs so far, if there are any."""
+        if not self.outputs:
+            return
+        args = self.args
+        command = f"report-{args.kind}" if args.command == "report" else args.command
+        write_json(os.path.join(args.out_dir, f"{command}-{self.digest}.manifest.json"), {
+            "digest": self.digest, "command": command,
+            "inputs": self.inputs or [args.config or "<defaults>"], "outputs": self.outputs,
+            "seed": self.cfg[MANIFEST_SEEDS[args.command]], "version": __version__,
+            "started_at": self.started, "finished_at": time.time(),
+        })
 
 
 def write_csv(path, fieldnames, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in fieldnames})
+        writer.writerows(rows)
 
 
 def write_json(path, obj):
@@ -242,57 +274,46 @@ def write_json(path, obj):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_generate(args) -> int:
-    cfg = resolve_config(args.config, args.overrides, args.seed)
-    digest = config_digest(cfg)
-    scfg = config_of(SynthConfig, cfg)
-    scfg.validate()
-    os.makedirs(args.out_dir, exist_ok=True)
-    started = time.time()
+def load_suite(run, directory, required) -> dict:
+    """The eval_<split>.jsonl sets of directory, read through run; a split's
+    file may be missing unless required, but not every split's."""
+    suite = {}
+    for split in ("original", "biased", "anti_biased"):
+        path = os.path.join(directory, f"eval_{split}.jsonl")
+        if required or os.path.exists(path):
+            suite[split] = load_dataset(run.read(path))
+    if not suite:
+        raise DataError(f"{directory}: no eval_<split>.jsonl files found")
+    return suite
 
+
+def cmd_generate(args, run) -> int:
+    scfg = config_of(SynthConfig, run.cfg)
+    scfg.validate()
     train = inject_bias(gen_dataset(scfg), m=scfg.bias_proportion,
                         rho=scfg.manipulated_fraction, seed=scfg.seed)
     suite = make_eval_suite(scfg)
-    outputs = []
-    path = os.path.join(args.out_dir, "train.jsonl")
-    save_dataset(train, path)
-    outputs.append(path)
+    save_dataset(train, run.output("train.jsonl"))
     for split, ds in suite.items():
-        path = os.path.join(args.out_dir, f"eval_{split}.jsonl")
-        save_dataset(ds, path)
-        outputs.append(path)
-    outputs.append(write_manifest(args.out_dir, "generate", digest,
-                                  [args.config or "<defaults>"], outputs,
-                                  scfg.seed, started))
-    logger.info("wrote %d files under %s (digest %s)", len(outputs), args.out_dir, digest)
+        save_dataset(ds, run.output(f"eval_{split}.jsonl"))
+    logger.info("wrote %d data sets under %s", len(run.outputs), args.out_dir)
     return 0
 
 
-def cmd_shallow(args) -> int:
-    cfg = resolve_config(args.config, args.overrides, args.seed)
-    digest = config_digest(cfg)
-    train = load_dataset(args.data)
+def cmd_shallow(args, run) -> int:
+    cfg = run.cfg
+    train = load_dataset(run.read(args.data))
     s_cfg = config_of(ShallowConfig, cfg)
     thresholds = shallow_thresholds(cfg, train)
-    started = time.time()
-    outputs = []
-
-    # the out dir is made once a model is trained, so a refused config leaves none
     if args.grid:
         best, rows, best_fit = grid_search_shallow(
             train, _as_list(cfg["shallow.grid_sizes"]), _as_list(cfg["shallow.grid_epochs"]),
             base_cfg=s_cfg, thresholds=thresholds,
         )
-        os.makedirs(args.out_dir, exist_ok=True)
-        grid_path = os.path.join(args.out_dir, f"grid-{digest}.csv")
-        write_csv(grid_path, ["n_s", "e_s", "unseen_acc", "high_conf_frac", "degenerate", "pass"], rows)
-        outputs.append(grid_path)
+        write_csv(run.output("grid-{}.csv"),
+                  ["n_s", "e_s", "unseen_acc", "high_conf_frac", "degenerate", "pass"], rows)
         if best is None:
-            diag_path = os.path.join(args.out_dir, f"diagnosis-{digest}.json")
-            write_json(diag_path, {"passed": False, "grid_rows": len(rows)})
-            outputs.append(diag_path)
-            write_manifest(args.out_dir, "shallow", digest, [args.data], outputs,
-                           s_cfg.seed, started)
+            write_json(run.output("diagnosis-{}.json"), {"passed": False, "grid_rows": len(rows)})
             raise DegenerateShallowError("no grid cell passed the selection thresholds")
         s_cfg = best
         model, diag = best_fit
@@ -300,20 +321,13 @@ def cmd_shallow(args) -> int:
     else:
         model, subset_ids = train_shallow(train, s_cfg)
         diag = validate_shallow(model, train.without(subset_ids, MAX_UNSEEN), thresholds)
-        os.makedirs(args.out_dir, exist_ok=True)
 
-    ckpt_path = os.path.join(args.out_dir, f"shallow-{digest}.ckpt.json")
-    save_checkpoint(model, ckpt_path, config_digest=digest)
-    outputs.append(ckpt_path)
-    diag_path = os.path.join(args.out_dir, f"diagnosis-{digest}.json")
-    write_json(diag_path, {
+    save_checkpoint(model, run.output("shallow-{}.ckpt.json"), config_digest=run.digest)
+    write_json(run.output("diagnosis-{}.json"), {
         **asdict(diag),
         "sample_size": s_cfg.sample_size, "epochs": s_cfg.epochs,
         "acc_band": list(thresholds.acc_band),
     })
-    outputs.append(diag_path)
-    outputs.append(write_manifest(args.out_dir, "shallow", digest, [args.data],
-                                  outputs, s_cfg.seed, started))
     if diag.degenerate:
         raise DegenerateShallowError(
             f"shallow model is degenerate: unseen accuracy {diag.unseen_accuracy:.3f} "
@@ -324,11 +338,9 @@ def cmd_shallow(args) -> int:
     return 0
 
 
-def cmd_identify(args) -> int:
-    cfg = resolve_config(args.config, args.overrides, args.seed)
-    digest = config_digest(cfg)
-    model = load_checkpoint(args.checkpoint)
-    train = load_dataset(args.data)
+def cmd_identify(args, run) -> int:
+    model = load_checkpoint(run.read(args.checkpoint))
+    train = load_dataset(run.read(args.data))
     subset_ids = model.meta.get("subset_ids", [])
     if not (type(subset_ids) is list and all(type(i) is int for i in subset_ids)):
         raise SchemaError(f"{args.checkpoint}: meta.subset_ids must be a list of "
@@ -336,28 +348,17 @@ def cmd_identify(args) -> int:
     if not subset_ids:
         raise DataError(f"{args.checkpoint}: no subset_ids recorded; "
                         "was this checkpoint produced by the shallow command?")
-    started = time.time()
-    # scored before the out dir is made, so that refused input leaves none
     weights = compute_bias_weights(model, train.without(set(subset_ids)))
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, f"weights-{digest}.jsonl")
+    path = run.output("weights-{}.jsonl")
     save_bias_weights(weights, path)
-    write_manifest(args.out_dir, "identify", digest,
-                   [args.checkpoint, args.data], [path],
-                   cfg["shallow.seed"], started)
     logger.info("wrote %d bias-weight entries to %s", len(weights), path)
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = resolve_config(args.config, args.overrides, args.seed)
-    digest = config_digest(cfg)
-    t_cfg = config_of(TrainConfig, cfg)
+def cmd_train(args, run) -> int:
+    t_cfg = config_of(TrainConfig, run.cfg)
     t_cfg.validate()
-    train = load_dataset(args.data)
-    os.makedirs(args.out_dir, exist_ok=True)
-    started = time.time()
-    inputs = [args.data]
+    train = load_dataset(run.read(args.data))
 
     weights_path = args.weights or t_cfg.weights_path
     weights = None
@@ -367,8 +368,7 @@ def cmd_train(args) -> int:
     else:
         if not weights_path:
             raise ConfigError(f"method {t_cfg.method!r} requires --weights (or train.weights_path)")
-        weights = load_bias_weights(weights_path, train.num_labels)
-        inputs.append(weights_path)
+        weights = load_bias_weights(run.read(weights_path), train.num_labels)
         kept = train.without(set(train.examples.ids.tolist()) - weights.entries.keys())
         if len(kept) < len(train):
             logger.info("dropping %d examples without bias weights (shallow subset)",
@@ -377,37 +377,23 @@ def cmd_train(args) -> int:
 
     eval_suite = None
     if args.eval_dir:
-        eval_suite = {}
-        for split in ("original", "biased", "anti_biased"):
-            path = os.path.join(args.eval_dir, f"eval_{split}.jsonl")
-            if os.path.exists(path):
-                eval_suite[split] = load_dataset(path)
-                inputs.append(path)
-        if not eval_suite:
-            raise DataError(f"{args.eval_dir}: no eval_<split>.jsonl files found")
+        eval_suite = load_suite(run, args.eval_dir, required=False)
         for ds in eval_suite.values():  # before a teacher is trained on train
             check_model_data(ds, train.num_labels, train.vocab_size)
 
     teacher = None
-    outputs = []
     if t_cfg.method == "conf_reg":
-        teacher_digest = config_digest({**cfg, "train.method": "baseline_ce"})
-        teacher_path = os.path.join(args.out_dir, f"teacher-{teacher_digest}.ckpt.json")
+        teacher_digest = config_digest({**run.cfg, "train.method": "baseline_ce"})
         teacher = train_teacher(train, t_cfg)
+        teacher_path = run.output(f"teacher-{teacher_digest}.ckpt.json")
         save_checkpoint(teacher, teacher_path, config_digest=teacher_digest)
-        outputs.append(teacher_path)
         logger.info("trained the teacher and wrote %s", teacher_path)
 
     model, metrics = train_main(train, weights, t_cfg, eval_suite=eval_suite, teacher=teacher)
 
-    ckpt_path = os.path.join(args.out_dir, f"model-{digest}.ckpt.json")
-    save_checkpoint(model, ckpt_path, step=metrics[-1]["step"], config_digest=digest)
-    outputs.append(ckpt_path)
-    metrics_path = os.path.join(args.out_dir, f"run-{digest}.metrics.jsonl")
-    write_metrics(metrics, metrics_path)
-    outputs.append(metrics_path)
-    outputs.append(write_manifest(args.out_dir, "train", digest, inputs, outputs,
-                                  t_cfg.seed, started))
+    ckpt_path = run.output("model-{}.ckpt.json")
+    save_checkpoint(model, ckpt_path, step=metrics[-1]["step"], config_digest=run.digest)
+    write_metrics(metrics, run.output("run-{}.metrics.jsonl"))
     logger.info("trained %s for %d steps; checkpoint %s",
                 t_cfg.method, metrics[-1]["step"], ckpt_path)
     return 0
@@ -447,43 +433,35 @@ def _fan_out_seeds(worker, values, fixed, seeds, jobs):
     return [[r for part in parts[i:i + k] for r in part] for i in range(0, len(parts), k)]
 
 
-def cmd_report(args) -> int:
-    cfg = resolve_config(args.config, args.overrides, args.seed)
-    digest = config_digest(cfg)
-    os.makedirs(args.out_dir, exist_ok=True)
-    started = time.time()
-    inputs, outputs = [], []
+def cmd_report(args, run) -> int:
+    cfg = run.cfg
 
-    def emit(kind, fieldnames, rows, summary):
-        csv_path = os.path.join(args.out_dir, f"{kind}-{digest}.csv")
-        write_csv(csv_path, fieldnames, rows)
-        json_path = os.path.join(args.out_dir, f"{kind}-{digest}.json")
-        write_json(json_path, {"digest": digest, "kind": kind, **summary})
-        outputs.extend([csv_path, json_path])
+    def emit(fieldnames, rows, summary):
+        write_csv(run.output(f"{args.kind}-{{}}.csv"), fieldnames, rows)
+        write_json(run.output(f"{args.kind}-{{}}.json"),
+                   {"digest": run.digest, "kind": args.kind, **summary})
 
     if args.kind == "trajectory":
         if not args.metrics:
             raise ConfigError("report kind 'trajectory' requires --metrics")
-        inputs.append(args.metrics)
-        rows = [r for r in read_metrics(args.metrics) if "acc_original" in r]
+        rows = [r for r in read_metrics(run.read(args.metrics)) if "acc_original" in r]
         if not rows:
             raise DataError(f"{args.metrics}: no evaluation records; "
                             "was training run with an eval suite?")
         fields = ["step", "acc_original", "acc_biased", "acc_anti_biased", "alpha"]
-        emit("trajectory", fields, rows, {"points": len(rows), "final": rows[-1]})
+        emit(fields, rows, {"points": len(rows), "final": rows[-1]})
 
     elif args.kind == "histogram":
         if not (args.checkpoint and args.data):
             raise ConfigError("report kind 'histogram' requires --checkpoint and --data")
-        inputs.extend([args.checkpoint, args.data])
-        model = load_checkpoint(args.checkpoint)
-        split = load_dataset(args.data)
+        model = load_checkpoint(run.read(args.checkpoint))
+        split = load_dataset(run.read(args.data))
         hist = confidence_histogram(model, split, bin_width=cfg["report.bin_width"])
         rows = [{"bin_lo": hist.edges[i], "bin_hi": hist.edges[i + 1],
                  "count": hist.counts[i], "correct": hist.correct[i],
                  "correct_fraction": hist.correct_fraction[i]}
                 for i in range(len(hist.counts))]
-        emit("histogram", ["bin_lo", "bin_hi", "count", "correct", "correct_fraction"],
+        emit(["bin_lo", "bin_hi", "count", "correct", "correct_fraction"],
              rows, {"mean_confidence": hist.mean_confidence, "examples": len(split)})
 
     elif args.kind == "sweep":
@@ -496,7 +474,7 @@ def cmd_report(args) -> int:
         points = sweep_report(a_values, per_seed)
         fields = ["value", "original_mean", "original_std",
                   "anti_biased_mean", "anti_biased_std", "seeds"]
-        emit("sweep", fields, points, {"method": method, "points": len(points)})
+        emit(fields, points, {"method": method, "points": len(points)})
 
     elif args.kind == "proportion":
         m_values = _as_list(cfg["report.m_values"])
@@ -506,49 +484,38 @@ def cmd_report(args) -> int:
         rows = proportion_rows(m_values, per_seed)
         fields = ["m", "seeds", "original_mean", "original_std", "biased_mean",
                   "biased_std", "anti_biased_mean", "anti_biased_std"]
-        emit("proportion", fields, rows, {"points": len(rows)})
+        emit(fields, rows, {"points": len(rows)})
 
     elif args.kind == "stability":
         if not args.data:
             raise ConfigError("report kind 'stability' requires --data")
-        inputs.append(args.data)
-        train = load_dataset(args.data)
-        eval_ds = load_dataset(args.eval) if args.eval else train
-        if args.eval:
-            inputs.append(args.eval)
+        train = load_dataset(run.read(args.data))
+        eval_ds = load_dataset(run.read(args.eval)) if args.eval else train
         rows = stability_study(train, config_of(ShallowConfig, cfg), cfg["report.n_runs"], eval_ds)
         fields = ["run", "seed", "degenerate", "unseen_acc", "easy_acc", "easy_n",
                   "hard_acc", "hard_n", "overall_acc"]
         ok = all(r["easy_acc"] > r["hard_acc"] for r in rows
                  if not r["degenerate"] and r["easy_n"] and r["hard_n"])
-        emit("stability", fields, rows,
+        emit(fields, rows,
              {"runs": len(rows), "degenerate_runs": sum(r["degenerate"] for r in rows),
               "easy_above_hard": ok})
 
     elif args.kind == "compare":
         if not args.checkpoint_list or not args.suite_dir:
             raise ConfigError("report kind 'compare' requires --checkpoints and --suite-dir")
-        suite = {}
-        for split in ("original", "biased", "anti_biased"):
-            path = os.path.join(args.suite_dir, f"eval_{split}.jsonl")
-            suite[split] = load_dataset(path)
-            inputs.append(path)
+        suite = load_suite(run, args.suite_dir, required=True)
         rows = []
         for path in args.checkpoint_list:
-            model = load_checkpoint(path)
-            inputs.append(path)
+            model = load_checkpoint(run.read(path))
             row = {"method": model.meta.get("method", os.path.basename(path))}
             row.update({split: accuracy(model, ds) for split, ds in suite.items()})
             rows.append(row)
-        emit("compare", ["method", "original", "biased", "anti_biased"], rows,
+        emit(["method", "original", "biased", "anti_biased"], rows,
              {"methods": [r["method"] for r in rows]})
 
     else:
         raise ConfigError(f"unknown report kind {args.kind!r}; expected one of {REPORT_KINDS}")
 
-    outputs.append(write_manifest(args.out_dir, f"report-{args.kind}", digest,
-                                  inputs or [args.config or "<defaults>"], outputs,
-                                  cfg["data.seed"], started))
     logger.info("report %s written under %s", args.kind, args.out_dir)
     return 0
 
@@ -628,6 +595,11 @@ COMMANDS = {
     "report": cmd_report,
 }
 
+# the exit code of each error that main reports, the first match winning
+# (SchemaError is a DataError; an unreadable file is a data error)
+EXIT_CODES = {ConfigError: 2, DataError: 3, NumericError: 4, DegenerateShallowError: 5,
+              OSError: 3}
+
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -640,22 +612,14 @@ def main(argv=None) -> int:
     try:
         args.overrides = dict(_parse_override(s) for s in args.overrides_raw)
         args.jobs = worker_count(args.jobs)
-        return COMMANDS[args.command](args)
-    except ConfigError as e:
+        run = Run(args)
+        try:
+            return COMMANDS[args.command](args, run)
+        finally:
+            run.finish()
+    except tuple(EXIT_CODES) as e:
         logger.error("%s", e)
-        return 2
-    except (DataError, SchemaError) as e:
-        logger.error("%s", e)
-        return 3
-    except NumericError as e:
-        logger.error("%s", e)
-        return 4
-    except DegenerateShallowError as e:
-        logger.error("%s", e)
-        return 5
-    except OSError as e:
-        logger.error("%s", e)
-        return 3
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind))
 
 
 if __name__ == "__main__":

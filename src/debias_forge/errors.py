@@ -2,8 +2,8 @@
 maps undecodable input files onto it, and the JSON-lines reader that the
 data-file loaders share.
 
-Each class maps to a distinct CLI exit code (see the `except` clauses of
-cli.main and the exit codes in the cli module docstring).
+Each class maps to a distinct CLI exit code (see cli.EXIT_CODES and the
+exit codes in the cli module docstring).
 """
 
 from contextlib import contextmanager

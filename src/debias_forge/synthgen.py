@@ -494,8 +494,11 @@ def load_dataset(path) -> Dataset:
     K, lines, fields, malformed = header["num_labels"], [], [], None
     try:
         for lineno, rec in records:
-            fields.append((rec["id"], tuple(rec["segment_a"]), tuple(rec["segment_b"]),
-                           rec["label"], rec["bias_tag"], rec["bias_token"]))
+            a, b = rec["segment_a"], rec["segment_b"]
+            if type(a) is not list or type(b) is not list:
+                raise TypeError(f"segment_a and segment_b must be lists, got {a!r:.30}, {b!r:.30}")
+            fields.append((rec["id"], tuple(a), tuple(b), rec["label"], rec["bias_tag"],
+                           rec["bias_token"]))
             lines.append(lineno)
     except (KeyError, TypeError) as e:
         malformed = DataError(f"{path}:{lineno}: malformed example: {e!r}")

@@ -125,4 +125,11 @@ def write_metrics(metrics, path):
 
 
 def read_metrics(path):
-    return [rec for _, rec in read_json_lines(path)]
+    """The records of a metrics file; DataError on a line that is not a JSON object."""
+    records = []
+    for lineno, rec in read_json_lines(path):
+        if not isinstance(rec, dict):
+            raise DataError(f"{path}:{lineno}: a metrics record must be a JSON object, "
+                            f"got {rec!r:.80}")
+        records.append(rec)
+    return records

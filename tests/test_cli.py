@@ -421,6 +421,93 @@ def test_report_on_data_of_other_label_count_exits_3(pipeline, tmp_path, kind):
     assert _written(rep, "*.csv", "*.json") == []
 
 
+REFUSED = {
+    "train_malformed_weights": ["train", "--set", "train.method=poe", "--weights", "{bad}"],
+    "train_k5_eval_dir": ["train", "--eval-dir", "{k5}"],
+    "stability_k5_eval": ["report", "--kind", "stability", "--eval", "{k5}/eval_original.jsonl"],
+    "compare_k5_suite": ["report", "--kind", "compare", "--checkpoints", "{ckpt}",
+                         "--suite-dir", "{k5}"],
+    "trajectory_number_line": ["report", "--kind", "trajectory", "--metrics", "{bad}"],
+    "trajectory_string_line": ["report", "--kind", "trajectory", "--metrics", "{bad}"],
+}
+BAD_FILES = {"train_malformed_weights": '{"id": 0, "p_b": [1, 0, 0]}\n',
+             "trajectory_number_line": "5\n", "trajectory_string_line": '"acc_original"\n'}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_command_makes_no_out_dir(pipeline, tmp_path, case):
+    bad, out = tmp_path / "bad.jsonl", tmp_path / "refused"
+    bad.write_text(BAD_FILES.get(case, ""))
+    paths = {"bad": bad, "k5": _k5_suite(pipeline, tmp_path), "ckpt": pipeline["ckpt"]}
+    argv = [a.format(**paths) for a in REFUSED[case]]
+    assert _run(*argv, "--config", pipeline["conf"], "--data", str(pipeline["out"] / "train.jsonl"),
+                "--out-dir", str(out), "--seed", "5", "--quiet") == 3
+    assert not out.exists()
+
+
+def _manifest(out, command, digest):
+    """The manifest of command in out, once its outputs are checked to be
+    exactly the other files of out, each of them there."""
+    manifest = json.loads((out / f"{command}-{digest}.manifest.json").read_text())
+    written = sorted(p.name for p in out.iterdir() if not p.name.endswith(".manifest.json"))
+    assert sorted(os.path.basename(p) for p in manifest["outputs"]) == written
+    assert all(os.path.isfile(p) for p in manifest["outputs"])
+    assert (manifest["command"], manifest["digest"]) == (command, digest)
+    assert manifest["version"] == debias_forge.__version__
+    assert manifest["started_at"] <= manifest["finished_at"]
+    return manifest
+
+
+def test_manifests_list_what_each_command_read_and_wrote(conf, tmp_path, monkeypatch):
+    monkeypatch.delenv("DEBIAS_FORGE_SEED", raising=False)
+    with open(conf, "a", encoding="utf-8") as fh:
+        fh.write("data.seed = 5\nshallow.seed = 6\ntrain.seed = 7\n")
+    out = {name: tmp_path / name for name in ("data", "shallow", "weights", "train", "report")}
+
+    def run(command, name, *argv):
+        assert _run(command, *argv, "--config", conf, "--out-dir", str(out[name]),
+                    "--quiet") == 0
+
+    def digest(sets=None):
+        return config_digest(resolve_config(conf, sets))
+
+    d, d_conf_reg = digest(), digest({"train.method": "conf_reg"})
+    d_band = digest({"shallow.acc_band": [0.0, 1.0], "shallow.high_conf_min": 0.0})
+    train = str(out["data"] / "train.jsonl")
+    suite = [str(out["data"] / f"eval_{s}.jsonl") for s in ("original", "biased", "anti_biased")]
+
+    run("generate", "data")
+    m = _manifest(out["data"], "generate", d)
+    assert (m["inputs"], m["outputs"], m["seed"]) == ([conf], [train, *suite], 5)
+
+    run("shallow", "shallow", "--data", train,
+        "--set", "shallow.acc_band=0.0,1.0", "--set", "shallow.high_conf_min=0.0")
+    m = _manifest(out["shallow"], "shallow", d_band)
+    ckpt = str(out["shallow"] / f"shallow-{d_band}.ckpt.json")
+    assert (m["inputs"], m["seed"]) == ([train], 6)
+    assert m["outputs"] == [ckpt, str(out["shallow"] / f"diagnosis-{d_band}.json")]
+
+    run("identify", "weights", "--checkpoint", ckpt, "--data", train)
+    m = _manifest(out["weights"], "identify", d)
+    weights = str(out["weights"] / f"weights-{d}.jsonl")
+    assert (m["inputs"], m["outputs"], m["seed"]) == ([ckpt, train], [weights], 6)
+
+    run("train", "train", "--set", "train.method=conf_reg", "--data", train,
+        "--weights", weights, "--eval-dir", str(out["data"]))
+    m = _manifest(out["train"], "train", d_conf_reg)
+    model = str(out["train"] / f"model-{d_conf_reg}.ckpt.json")
+    assert (m["inputs"], m["seed"]) == ([train, weights, *suite], 7)
+    # the teacher's digest is that of the config with train.method=baseline_ce
+    assert m["outputs"] == [str(out["train"] / f"teacher-{d}.ckpt.json"), model,
+                            str(out["train"] / f"run-{d_conf_reg}.metrics.jsonl")]
+
+    run("report", "report", "--kind", "compare", "--suite-dir", str(out["data"]),
+        "--checkpoints", model)
+    m = _manifest(out["report"], "report-compare", d)
+    assert (m["inputs"], m["seed"]) == ([*suite, model], 5)
+    assert m["outputs"] == [str(out["report"] / f"compare-{d}.{ext}") for ext in ("csv", "json")]
+
+
 def test_stability_eval_of_other_label_count_exits_3_before_training(conf, tmp_path, monkeypatch):
     data, k5 = tmp_path / "data", tmp_path / "k5"
     for out, sets in ((data, []), (k5, ["--set", "data.num_labels=5"])):
@@ -654,7 +741,12 @@ def test_shallow_grid_no_pass_exits_5(pipeline, tmp_path):
               "--set", "shallow.acc_band=0.98,0.99",
               "--out-dir", str(out), "--seed", "5", "--quiet")
     assert rc == 5
-    assert list(out.glob("grid-*.csv"))
+    # a manifest lists what the failed command wrote
+    digest = config_digest(resolve_config(pipeline["conf"], {
+        "shallow.grid_sizes": 150, "shallow.grid_epochs": 1, "shallow.acc_band": [0.98, 0.99],
+    }, seed=5))
+    m = _manifest(out, "shallow", digest)
+    assert m["outputs"] == [str(out / f"grid-{digest}.csv"), str(out / f"diagnosis-{digest}.json")]
 
 
 def test_report_stability_and_compare(pipeline, tmp_path):

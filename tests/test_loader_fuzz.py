@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from debias_forge.errors import DataError
 from debias_forge.shallow import load_bias_weights
 from debias_forge.synthgen import BIAS_TAGS, load_dataset
+from debias_forge.trainer import read_metrics
 
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 70) | st.floats()
            | st.sampled_from(BIAS_TAGS) | st.text(max_size=3))
@@ -72,6 +73,9 @@ WEIGHTS_RECORDS = _records({
     "id": st.integers(0, 3), "p_b": PROBS | st.just([0.2, 0.3, 0.5]),
     "p_b_correct": st.floats(0, 1), "predicted": st.integers(0, 2)})
 WEIGHTS_LINES = st.text() | WEIGHTS_RECORDS | _with_unparsable(WEIGHTS_RECORDS)
+METRICS_RECORDS = _records({"step": st.integers(0, 9), "acc_original": st.floats(0, 1)})
+METRICS_LINES = (st.text() | VALUES.map(json.dumps) | METRICS_RECORDS
+                 | _with_unparsable(METRICS_RECORDS))
 HEADERS = (st.just(HEADER) | st.text()
            | _with_unparsable(st.just(HEADER)) | UNPARSABLE)
 FUZZ = settings(max_examples=200, deadline=None)
@@ -113,3 +117,10 @@ def test_loaded_bias_tokens_keep_the_rules(path, lines):
 @given(lines=st.lists(WEIGHTS_LINES, max_size=4))
 def test_load_bias_weights_raises_only_data_errors(path, lines):
     _load(lambda p: load_bias_weights(p, 3), path, lines)
+
+
+@FUZZ
+@given(lines=st.lists(METRICS_LINES, max_size=4))
+def test_read_metrics_raises_only_data_errors(path, lines):
+    records = _load(read_metrics, path, lines)
+    assert all(type(rec) is dict for rec in records or [])

@@ -219,6 +219,8 @@ def test_load_rejects_bad_files(tmp_path):
                  [dict(good, bias_tag="anti_biased", bias_token=60)],  # outside the vocab
                  [dict(good, bias_tag="biased", bias_token=-1)],
                  [dict(good, bias_tag="biased", bias_token="0")],
+                 # a segment is a list of tokens, an empty list included
+                 [dict(good, segment_a="")], [dict(good, segment_b={})],
                  # the bias token is the first token of segment_b
                  [dict(good, bias_tag="biased", segment_b=[2, 0], bias_token=0)],
                  [dict(good, bias_tag="anti_biased", segment_b=[], bias_token=1)],
@@ -229,6 +231,10 @@ def test_load_rejects_bad_files(tmp_path):
         badrec.write_text("\n".join([header] + [json.dumps(r) for r in recs]) + "\n")
         with pytest.raises(DataError, match=f"badrec.jsonl:{len(recs) + 1}"):
             load_dataset(badrec)
+    emptyseg = tmp_path / "emptyseg.jsonl"
+    emptyseg.write_text(header + "\n" + json.dumps(dict(good, segment_a=[], segment_b=[])) + "\n")
+    ex = load_dataset(emptyseg).examples[0]
+    assert (ex.segment_a, ex.segment_b) == ((), ())
     # JSON the reader refuses (NaN, Infinity, a number past the largest
     # double) or reads as a float (an integer of 2**64)
     line = json.dumps(good)
