@@ -160,19 +160,21 @@ def _as_matrix(X):
     return arr
 
 
-def _logits(params: ModelParams, X):
-    X = _as_matrix(X)
-    z1 = X @ params.W1 + params.b1
-    a1 = np.maximum(z1, 0.0)
-    logits = a1 @ params.W2 + params.b2
-    return z1, a1, logits
+def _logits(params: ModelParams, X, check_hidden=False):
+    """(hidden activations, logits), the hidden layer built in one (n, H)
+    array; with check_hidden, NumericError on a non-finite pre-activation,
+    checked before the ReLU maps -inf to 0."""
+    h = _as_matrix(X) @ params.W1
+    h += params.b1
+    if check_hidden and not np.all(np.isfinite(h)):
+        raise NumericError("non-finite activations in hidden layer")
+    np.maximum(h, 0.0, out=h)
+    return h, h @ params.W2 + params.b2
 
 
 def forward(params: ModelParams, X) -> np.ndarray:
     """Softmax probabilities, shape (n, K); max-subtraction stabilized."""
-    z1, _, logits = _logits(params, X)
-    if not np.all(np.isfinite(z1)):
-        raise NumericError("non-finite activations in hidden layer")
+    _, logits = _logits(params, X, check_hidden=True)
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits in output layer")
     return _softmax(logits)
@@ -236,7 +238,7 @@ def loss_and_grad(params: ModelParams, X, targets, weights, logit_offset=None):
     weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
     if np.any(weights < 0):
         raise DataError("negative example weight")
-    z1, a1, logits = _logits(params, X)
+    a1, logits = _logits(params, X)
     if logit_offset is not None:
         logits = logits + np.atleast_2d(np.asarray(logit_offset, dtype=np.float64))
     if not np.all(np.isfinite(logits)):
@@ -250,8 +252,7 @@ def loss_and_grad(params: ModelParams, X, targets, weights, logit_offset=None):
     dlogits = (p - targets) * weights[:, None] / n
     dW2 = a1.T @ dlogits
     db2 = dlogits.sum(axis=0)
-    da1 = dlogits @ params.W2.T
-    dz1 = da1 * (z1 > 0)
+    dz1 = (dlogits @ params.W2.T) * (a1 > 0)  # a1 > 0 just where the pre-activation is
     if sp.issparse(X):
         rows, dW1 = _touched_rows_product(X, dz1)
     else:

@@ -23,6 +23,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
 
+import numpy as np
+
 from . import __version__
 from .classifier import check_model_data, load_checkpoint, save_checkpoint
 from .errors import (
@@ -369,11 +371,11 @@ def cmd_train(args, run) -> int:
         if not weights_path:
             raise ConfigError(f"method {t_cfg.method!r} requires --weights (or train.weights_path)")
         weights = load_bias_weights(run.read(weights_path), train.num_labels)
-        kept = train.without(set(train.examples.ids.tolist()) - weights.entries.keys())
+        kept = np.flatnonzero(np.isin(train.examples.ids, weights.ids))
         if len(kept) < len(train):
             logger.info("dropping %d examples without bias weights (shallow subset)",
                         len(train) - len(kept))
-            train = kept
+            train = replace(train, examples=train.examples.take(kept))
 
     eval_suite = None
     if args.eval_dir:

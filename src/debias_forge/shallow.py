@@ -3,7 +3,6 @@ few epochs, score the remaining (unseen) training examples, and support the
 selection grid search and the multi-seed stability study.
 """
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -81,12 +80,22 @@ class ShallowDiagnosis:
 
 @dataclass
 class BiasWeights:
-    """Per-example shallow-model output, keyed by example id."""
-    entries: dict
-    num_labels: int
+    """Per-example shallow-model output as columns in ascending id order:
+    int64 ids, each example's (n, K) p_b, p_b_correct and predicted label."""
+    ids: np.ndarray
+    p_b: np.ndarray
+    p_b_correct: np.ndarray
+    predicted: np.ndarray
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.ids)
+
+    def p_b_of(self, ids) -> np.ndarray:
+        """The p_b rows of ids; DataError names the first id without any."""
+        missing = ~np.isin(ids, self.ids)
+        if missing.any():
+            raise DataError(f"no bias weights for training example id {ids[np.argmax(missing)]}")
+        return self.p_b[np.searchsorted(self.ids, ids)]
 
 
 @dataclass
@@ -145,11 +154,10 @@ def compute_bias_weights(shallow: Model, unseen) -> BiasWeights:
     if not len(unseen):
         raise DataError("no unseen examples left after removing the shallow subset")
     probs = shallow.predict_proba(unseen)
-    correct = probs[np.arange(len(unseen)), unseen.labels()]
-    entries = {ex_id: {"p_b": p, "p_b_correct": c, "predicted": k}
-               for ex_id, p, c, k in zip(unseen.examples.ids.tolist(), probs.tolist(),
-                                         correct.tolist(), probs.argmax(axis=1).tolist())}
-    return BiasWeights(entries=entries, num_labels=unseen.num_labels)
+    order = np.argsort(unseen.examples.ids)
+    p_b, labels = probs[order], unseen.labels()[order]
+    return BiasWeights(unseen.examples.ids[order], p_b, p_b[np.arange(len(p_b)), labels],
+                       p_b.argmax(axis=1))
 
 
 def validate_shallow(shallow: Model, unseen, thresholds: ShallowThresholds = ShallowThresholds()):
@@ -258,40 +266,50 @@ def stability_study(train, cfg: ShallowConfig, n_runs: int, eval_ds):
 
 
 def save_bias_weights(weights: BiasWeights, path):
+    """One line per example in id order, as json.dumps(record, sort_keys=True) writes it."""
     with open(path, "w", encoding="utf-8") as fh:
-        for ex_id in sorted(weights.entries):
-            fh.write(json.dumps({"id": ex_id, **weights.entries[ex_id]}, sort_keys=True) + "\n")
+        fh.writelines(
+            f'{{"id": {i}, "p_b": [{", ".join(map(repr, p))}], "p_b_correct": {c!r}, '
+            f'"predicted": {k}}}\n'
+            for i, p, c, k in zip(weights.ids.tolist(), weights.p_b.tolist(),
+                                  weights.p_b_correct.tolist(), weights.predicted.tolist()))
 
 
 def load_bias_weights(path, num_labels: int) -> BiasWeights:
-    """Read a weights file; every record needs an integer id, a p_b of
-    num_labels probabilities in [0, 1] summing to 1, a p_b_correct in [0, 1]
-    and a predicted label in [0, num_labels)."""
-    entries = {}
+    """Read a weights file; every record needs an integer id in the int64
+    range, a p_b of num_labels probabilities in [0, 1] summing to 1, a
+    p_b_correct in [0, 1] and a predicted label in [0, num_labels)."""
+    ids, p_b, p_correct, predicted, seen = [], [], [], [], set()
     for lineno, rec in read_json_lines(path):
         try:
-            ex_id, p_b = rec["id"], rec["p_b"]
-            entry = {"p_b": p_b, "p_b_correct": rec["p_b_correct"],
-                     "predicted": rec["predicted"]}
+            ex_id, p, c, k = rec["id"], rec["p_b"], rec["p_b_correct"], rec["predicted"]
         except (KeyError, TypeError) as e:
             raise DataError(f"{path}:{lineno}: malformed weights record: {e!r}") from e
         if type(ex_id) is not int:
             raise DataError(f"{path}:{lineno}: id must be an integer, got {ex_id!r}")
-        if not isinstance(p_b, list) or len(p_b) != num_labels:
+        if not -2**63 <= ex_id < 2**63:
+            raise DataError(f"{path}:{lineno}: id {ex_id} outside the int64 range "
+                            f"[-2**63, 2**63)")
+        if not isinstance(p, list) or len(p) != num_labels:
             raise DataError(f"{path}:{lineno}: p_b length != num_labels {num_labels}")
-        if not (all(type(p) in (int, float) and 0.0 <= p <= 1.0 for p in p_b)
-                and abs(sum(p_b) - 1.0) <= 1e-6):
+        if not (all(type(q) in (int, float) and 0.0 <= q <= 1.0 for q in p)
+                and abs(sum(p) - 1.0) <= 1e-6):
             raise DataError(f"{path}:{lineno}: p_b must be probabilities in [0, 1] "
-                            f"summing to 1, got {p_b}")
-        p_correct, predicted = entry["p_b_correct"], entry["predicted"]
-        if not (type(p_correct) in (int, float) and 0.0 <= p_correct <= 1.0):
+                            f"summing to 1, got {p}")
+        if not (type(c) in (int, float) and 0.0 <= c <= 1.0):
             raise DataError(f"{path}:{lineno}: p_b_correct must be a probability in "
-                            f"[0, 1], got {p_correct!r}")
-        if not (type(predicted) is int and 0 <= predicted < num_labels):
+                            f"[0, 1], got {c!r}")
+        if not (type(k) is int and 0 <= k < num_labels):
             raise DataError(f"{path}:{lineno}: predicted must be a label in "
-                            f"[0, {num_labels}), got {predicted!r}")
-        if ex_id in entries:
+                            f"[0, {num_labels}), got {k!r}")
+        if ex_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate id {ex_id}")
-        entries[ex_id] = entry
-    return BiasWeights(entries=entries, num_labels=num_labels)
-
+        seen.add(ex_id)
+        ids.append(ex_id)
+        p_b += p
+        p_correct.append(c)
+        predicted.append(k)
+    ids = np.array(ids, np.int64)
+    order = np.argsort(ids)
+    return BiasWeights(ids[order], np.array(p_b, np.float64).reshape(-1, num_labels)[order],
+                       np.array(p_correct, np.float64)[order], np.array(predicted, np.int64)[order])

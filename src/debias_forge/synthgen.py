@@ -208,7 +208,7 @@ def _round_half_up(x: float) -> int:
 # accepts and noting where the keep masks and fillers lie, and _gather then
 # reads those out of the words for many examples at once.
 
-_BLOCK = 1024  # examples walked and gathered together
+_BLOCK = 1024  # examples walked and gathered, or written, together
 _M32 = np.uint64(0xFFFFFFFF)
 _U32, _U11 = np.uint64(32), np.uint64(11)
 
@@ -456,7 +456,9 @@ def bias_oracle_predict(example: Example):
 
 
 def save_dataset(dataset: Dataset, path):
-    """JSONL: header line with metadata, then one object per example."""
+    """JSONL: header line with metadata, then one object per example, as
+    json.dumps(example._asdict(), sort_keys=True) writes it. The lines are
+    formatted from the columns, _BLOCK rows at a time."""
     cfg = dataset.provenance.get("config", {})
     digest = SynthConfig(**cfg).digest() if cfg else ""
     with open(path, "w", encoding="utf-8") as fh:
@@ -467,8 +469,19 @@ def save_dataset(dataset: Dataset, path):
             "provenance": dataset.provenance,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for ex in dataset:  # built from the columns; json writes the tuples as lists
-            fh.write(json.dumps(ex._asdict(), sort_keys=True) + "\n")
+        cols = dataset.examples
+        for start in range(0, len(cols), _BLOCK):
+            stop = min(start + _BLOCK, len(cols))
+            (ta, oa), (tb, ob) = ((list(map(str, t[o[start]:o[stop]].tolist())),
+                                   (o[start:stop + 1] - o[start]).tolist()) for t, o in cols.segments)
+            fh.writelines(
+                f'{{"bias_tag": "{BIAS_TAGS[tag]}", "bias_token": {"null" if token < 0 else token}, '
+                f'"id": {ex_id}, "label": {label}, "segment_a": [{", ".join(ta[a0:a1])}], '
+                f'"segment_b": [{", ".join(tb[b0:b1])}]}}\n'
+                for ex_id, label, tag, token, a0, a1, b0, b1 in zip(
+                    cols.ids[start:stop].tolist(), cols.labels[start:stop].tolist(),
+                    cols.tags[start:stop].tolist(), cols.bias_tokens[start:stop].tolist(),
+                    oa, oa[1:], ob, ob[1:]))
 
 
 def load_dataset(path) -> Dataset:
@@ -491,22 +504,23 @@ def load_dataset(path) -> Dataset:
     if vocab > 2**63:
         raise DataError(f"{path}: header 'vocab_size' must be at most 2**63, so that tokens "
                         f"fit int64, got {vocab}")
-    K, lines, fields, malformed = header["num_labels"], [], [], None
+    K, malformed = header["num_labels"], None
+    columns = lines, ids, seg_a, seg_b, labels, tags, tokens = [[] for _ in range(7)]
     try:
         for lineno, rec in records:
             a, b = rec["segment_a"], rec["segment_b"]
             if type(a) is not list or type(b) is not list:
                 raise TypeError(f"segment_a and segment_b must be lists, got {a!r:.30}, {b!r:.30}")
-            fields.append((rec["id"], tuple(a), tuple(b), rec["label"], rec["bias_tag"],
-                           rec["bias_token"]))
-            lines.append(lineno)
+            # every field is looked up before any column grows
+            for column, value in zip(columns, (lineno, rec["id"], a, b, rec["label"],
+                                               rec["bias_tag"], rec["bias_token"])):
+                column.append(value)
     except (KeyError, TypeError) as e:
         malformed = DataError(f"{path}:{lineno}: malformed example: {e!r}")
     except DataError as e:  # a line read_json_lines refuses
         malformed = e
     # the lines before a malformed one are checked as a whole, each rule on
     # every line; the first line that breaks one reports the first it breaks
-    ids, seg_a, seg_b, labels, tags, tokens = zip(*fields) if fields else [()] * 6
     tag_col = np.array([BIAS_TAGS.index(t) if type(t) is str and t in BIAS_TAGS else -1
                         for t in tags], np.int8)
     (label_col, label_ok), (id_col, id_ok), (token_col, token_ok) = (
@@ -516,7 +530,7 @@ def load_dataset(path) -> Dataset:
         toks, ok = _int64s(list(chain.from_iterable(segs)), 0, vocab)
         segments.append((toks, _offsets(list(map(len, segs)))))
         bad_tokens.append(np.diff(_offsets(~ok)[segments[-1][1]]) > 0)
-    repeated = np.ones(len(fields), bool)
+    repeated = np.ones(len(ids), bool)
     repeated[np.unique(id_col, return_index=True)[1]] = False
     none = np.array([t is None for t in tokens], bool)
     (toks_b, offsets_b), lengths_b = segments[1], np.diff(segments[1][1])
@@ -540,7 +554,7 @@ def load_dataset(path) -> Dataset:
     if failing:
         i, k = min(failing)
         raise DataError(f"{path}:{lines[i]}: " + checks[k][1].format(
-            tag=tags[i], label=labels[i], a=list(seg_a[i]), b=list(seg_b[i]), id=ids[i],
+            tag=tags[i], label=labels[i], a=seg_a[i], b=seg_b[i], id=ids[i],
             token=tokens[i], K=K, V=vocab, must="equal" if tags[i] == "biased" else "differ from"))
     if malformed:
         raise malformed

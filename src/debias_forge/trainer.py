@@ -68,11 +68,7 @@ def train_main(train, weights, cfg: TrainConfig, eval_suite=None, teacher=None):
     if cfg.method != "baseline_ce":
         if weights is None:
             raise ConfigError(f"method {cfg.method!r} requires bias weights")
-        ids = train.examples.ids.tolist()
-        missing = next((i for i in ids if i not in weights.entries), None)
-        if missing is not None:
-            raise DataError(f"no bias weights for training example id {missing}")
-        p_b = np.array([weights.entries[i]["p_b"] for i in ids], dtype=np.float64)
+        p_b = weights.p_b_of(train.examples.ids)
 
     p_t = None
     if cfg.method == "conf_reg":
@@ -125,11 +121,20 @@ def write_metrics(metrics, path):
 
 
 def read_metrics(path):
-    """The records of a metrics file; DataError on a line that is not a JSON object."""
+    """The records of a metrics file; DataError on a line that is not a JSON
+    object with an integer step, whose acc_* and alpha values are finite reals."""
     records = []
     for lineno, rec in read_json_lines(path):
         if not isinstance(rec, dict):
             raise DataError(f"{path}:{lineno}: a metrics record must be a JSON object, "
                             f"got {rec!r:.80}")
+        if type(rec.get("step")) is not int:
+            raise DataError(f"{path}:{lineno}: a metrics record needs an integer step, "
+                            f"got {rec.get('step')!r:.80}")
+        for key, value in rec.items():
+            if (key.startswith("acc_") or key == "alpha") and not (
+                    type(value) in (int, float) and math.isfinite(value)):
+                raise DataError(f"{path}:{lineno}: metrics value {key!r} must be a finite "
+                                f"real, got {value!r:.80}")
         records.append(rec)
     return records

@@ -168,6 +168,15 @@ def test_forward_rows_on_simplex(rng):
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_forward_refuses_a_pre_activation_the_relu_would_hide(rng):
+    params, X, *_ = _random_setup(rng)
+    params.b1[0] = -np.inf  # the ReLU maps it to 0, so the logits stay finite
+    assert np.isfinite(loss_and_grad(params, X, np.eye(K)[[0] * 6], np.ones(6))[0]).all()
+    for matrix in (X, sp.csr_matrix(X)):
+        with pytest.raises(NumericError, match="non-finite activations in hidden layer"):
+            forward(params, matrix)
+
+
 def test_loss_matches_hand_computed_cross_entropy(rng):
     params, X, _, _, _ = _random_setup(rng, n=2)
     p = forward(params, X)

@@ -445,6 +445,17 @@ def test_refused_command_makes_no_out_dir(pipeline, tmp_path, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ['{"step": 1, "acc_original": {"x": 1}, "alpha": [1, 2]}',
+                                  '{"acc_original": 0.5}'])
+def test_trajectory_refuses_a_record_of_other_types(tmp_path, caplog, line):
+    metrics, out = tmp_path / "run.metrics.jsonl", tmp_path / "report"
+    metrics.write_text('{"step": 1, "acc_original": 0.5, "alpha": 1.0}\n' + line + "\n")
+    assert _run("report", "--kind", "trajectory", "--metrics", str(metrics),
+                "--out-dir", str(out), "--quiet") == 3
+    assert f"{metrics}:2: " in caplog.text
+    assert not out.exists()
+
+
 def _manifest(out, command, digest):
     """The manifest of command in out, once its outputs are checked to be
     exactly the other files of out, each of them there."""

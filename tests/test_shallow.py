@@ -15,6 +15,12 @@ from debias_forge.shallow import (
 from debias_forge.synthgen import Columns, bias_oracle_predict
 
 
+# floats whose shortest text is hardest to read back exactly: the least
+# subnormal, the least normal, and neighbours of 0.1 and 1
+HARD_WEIGHTS = BiasWeights(np.array([0, 1]),
+                           np.array([[5e-324, 2.2250738585072014e-308, 1.0], [0.1, 0.9, 0.0]]),
+                           np.array([0.9999999999999999, 0.1]), np.array([2, 1]))
+
 FAST = ShallowConfig(sample_size=200, epochs=2, learning_rate=5e-3,
                      batch_size=32, hidden=8, feature_dim=130, seed=3)
 
@@ -57,21 +63,21 @@ def test_bias_weights_cover_exactly_the_unseen(tiny_train):
     model, subset_ids = train_shallow(tiny_train, FAST)
     weights = compute_bias_weights(model, tiny_train.without(subset_ids))
     expected = {ex.id for ex in tiny_train.examples} - subset_ids
-    assert set(weights.entries) == expected
+    assert weights.ids.tolist() == sorted(expected)
+    assert weights.p_b.shape == (len(expected), 3)
     by_id = {ex.id: ex for ex in tiny_train.examples}
-    for ex_id, entry in weights.entries.items():
-        p = np.array(entry["p_b"])
-        assert p.shape == (3,)
+    for ex_id, p, p_correct, predicted in zip(weights.ids.tolist(), weights.p_b,
+                                              weights.p_b_correct, weights.predicted):
         assert abs(p.sum() - 1.0) < 1e-9
-        assert entry["p_b_correct"] == p[by_id[ex_id].label]
-        assert entry["predicted"] == int(np.argmax(p))
+        assert p_correct == p[by_id[ex_id].label]
+        assert predicted == int(np.argmax(p))
 
 
 def test_uniform_model_gives_chance_pb(tiny_train):
     model = _uniform_model(tiny_train.vocab_size, tiny_train.num_labels)
     weights = compute_bias_weights(model, tiny_train.without(set()))
-    for entry in weights.entries.values():
-        assert entry["p_b_correct"] == pytest.approx(1 / 3, abs=1e-12)
+    assert len(weights) == len(tiny_train)
+    assert weights.p_b_correct == pytest.approx(np.full(len(tiny_train), 1 / 3), abs=1e-12)
 
 
 def test_validate_flags_uniform_model_degenerate(tiny_train):
@@ -261,29 +267,45 @@ def test_bias_weights_roundtrip(tiny_train, tmp_path):
     p2 = tmp_path / "w2.jsonl"
     save_bias_weights(weights, p1)
     loaded = load_bias_weights(p1, tiny_train.num_labels)
-    assert set(loaded.entries) == set(weights.entries)
-    for ex_id in weights.entries:
-        assert loaded.entries[ex_id]["p_b"] == list(weights.entries[ex_id]["p_b"])
+    for name in ("ids", "p_b", "p_b_correct", "predicted"):
+        assert np.array_equal(getattr(loaded, name), getattr(weights, name))
     save_bias_weights(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    # floats whose shortest text is hardest to read back exactly: the least
-    # subnormal, the least normal, and neighbours of 0.1 and 1
-    hard = BiasWeights({0: {"p_b": [5e-324, 2.2250738585072014e-308, 1.0],
-                            "p_b_correct": 0.9999999999999999, "predicted": 2},
-                        1: {"p_b": [0.1, 0.9, 0.0], "p_b_correct": 0.1, "predicted": 1}}, 3)
-    save_bias_weights(hard, p1)
+    save_bias_weights(HARD_WEIGHTS, p1)
     assert "5e-324, 2.2250738585072014e-308" in p1.read_text()
     save_bias_weights(load_bias_weights(p1, 3), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
+GOOD_WEIGHTS = ('{"id": 1, "p_b": [0.2, 0.3, 0.5], "p_b_correct": 0.5, "predicted": 2}\n'
+                '{"id": 2, "p_b": [1, 0, 0], "p_b_correct": 0, "predicted": 0}\n')
+BAD_WEIGHTS = {  # a third line that breaks one rule -> the message it gets
+    '{"id": 3, "p_b": [0.2, 0.3, 0.5], "predicted": 2}':
+        "malformed weights record: KeyError('p_b_correct')",
+    '{"id": "3", "p_b": [0.2, 0.3, 0.5], "p_b_correct": 0.5, "predicted": 2}':
+        "id must be an integer, got '3'",
+    '{"id": 9223372036854775808, "p_b": [0.2, 0.3, 0.5], "p_b_correct": 0.5, "predicted": 2}':
+        "id 9223372036854775808 outside the int64 range",
+    '{"id": 3, "p_b": [0.5, 0.5], "p_b_correct": 0.5, "predicted": 0}':
+        "p_b length != num_labels 3",
+    '{"id": 3, "p_b": [0.2, 0.3, 0.6], "p_b_correct": 0.3, "predicted": 2}':
+        "p_b must be probabilities in [0, 1] summing to 1, got [0.2, 0.3, 0.6]",
+    '{"id": 3, "p_b": [0.2, 0.3, 0.5], "p_b_correct": 1.5, "predicted": 2}':
+        "p_b_correct must be a probability in [0, 1], got 1.5",
+    '{"id": 3, "p_b": [0.2, 0.3, 0.5], "p_b_correct": 0.5, "predicted": 3}':
+        "predicted must be a label in [0, 3), got 3",
+    '{"id": 1, "p_b": [0.2, 0.3, 0.5], "p_b_correct": 0.5, "predicted": 2}':
+        "duplicate id 1",
+}
+
+
 def test_bias_weights_load_errors(tmp_path):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"id": 1, "p_b": [0.5, 0.5], "p_b_correct": 0.5, "predicted": 0}\n')
-    with pytest.raises(DataError):
-        load_bias_weights(bad, 3)
-    dup = tmp_path / "dup.jsonl"
-    line = '{"id": 1, "p_b": [0.2, 0.3, 0.5], "p_b_correct": 0.5, "predicted": 2}\n'
-    dup.write_text(line + line)
-    with pytest.raises(DataError):
-        load_bias_weights(dup, 3)
+    """Each rule names the line it fails on, with its message."""
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text(GOOD_WEIGHTS)
+    assert load_bias_weights(good, 3).ids.tolist() == [1, 2]
+    for line, message in BAD_WEIGHTS.items():
+        bad.write_text(GOOD_WEIGHTS + line + "\n")
+        with pytest.raises(DataError) as err:
+            load_bias_weights(bad, 3)
+        assert str(err.value).startswith(f"{bad}:3: {message}")

@@ -105,10 +105,10 @@ def test_debias_methods_require_weights(tiny_train):
 
 
 def test_missing_weight_entry_names_the_id(tiny_train, tiny_weights):
-    entries = dict(tiny_weights.entries)
     missing_id = tiny_train.examples[5].id
-    del entries[missing_id]
-    weights = BiasWeights(entries=entries, num_labels=3)
+    keep = tiny_weights.ids != missing_id
+    weights = BiasWeights(tiny_weights.ids[keep], tiny_weights.p_b[keep],
+                          tiny_weights.p_b_correct[keep], tiny_weights.predicted[keep])
     with pytest.raises(DataError, match=str(missing_id)):
         train_main(tiny_train, weights, replace(FAST_TRAIN, method="reweight"))
 
@@ -116,11 +116,9 @@ def test_missing_weight_entry_names_the_id(tiny_train, tiny_weights):
 def test_uniform_pb_reweight_matches_constant_weight_baseline(tiny_train):
     """With uniform p_b every weight is 1 - 1/K; the run must be identical to
     baseline training whose gradients are scaled by that constant."""
-    uniform = BiasWeights(
-        entries={ex.id: {"p_b": [1 / 3] * 3, "p_b_correct": 1 / 3, "predicted": 0}
-                 for ex in tiny_train.examples},
-        num_labels=3,
-    )
+    n = len(tiny_train)
+    uniform = BiasWeights(np.sort(tiny_train.examples.ids), np.full((n, 3), 1 / 3),
+                          np.full(n, 1 / 3), np.zeros(n, np.int64))
     cfg_rw = replace(FAST_TRAIN, method="reweight", optimizer="sgd")
     m_rw, _ = train_main(tiny_train, uniform, cfg_rw)
     cfg_base = replace(FAST_TRAIN, optimizer="sgd",

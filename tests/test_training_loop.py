@@ -79,7 +79,8 @@ def _reference_train_main(train, weights, cfg, eval_suite=None, teacher=None):
     n = len(train.examples)
     p_b = None
     if cfg.method != "baseline_ce":
-        p_b = np.array([weights.entries[ex.id]["p_b"] for ex in train.examples])
+        row = dict(zip(weights.ids.tolist(), weights.p_b))
+        p_b = np.array([row[ex.id] for ex in train.examples])
     p_t = forward(teacher.params, X) if cfg.method == "conf_reg" else None
     eval_matrices = {split: (featurizer.matrix(ds.examples), ds.labels())
                      for split, ds in (eval_suite or {}).items()}
