@@ -2,7 +2,8 @@
 gradients with a finite-difference check, SGD/Adam updates, and the
 resumable minibatch loop that trains both the shallow and the main model.
 
-Feature space layout for dimension D over vocabulary V (requires D > 2V):
+Feature space layout for dimension D over vocabulary V (requires
+2V < D < 2V + 2**32, since the pair hash is 32 bits wide):
     [0, V)      bag of tokens in segment_a
     [V, 2V)     bag of tokens in segment_b (the bias token, when present,
                 therefore owns a dedicated dimension)
@@ -46,10 +47,11 @@ class Featurizer:
     dim: int
 
     def __post_init__(self):
-        if self.dim <= 2 * self.vocab_size:
+        low = 2 * self.vocab_size
+        if not low < self.dim < low + 2**32:
             raise ConfigError(
-                f"feature dim {self.dim} must exceed 2*vocab_size "
-                f"({2 * self.vocab_size}) to leave room for pair hashes"
+                f"feature dim {self.dim} must lie in ({low}, {low + 2**32}): above "
+                f"2*vocab_size to leave room for pair hashes, within 2**32 of it for their hash"
             )
 
     def matrix(self, examples) -> sp.csr_matrix:
@@ -500,7 +502,10 @@ def load_checkpoint(path) -> Model:
     for name in ("W1", "b1", "W2", "b2"):
         if not np.isfinite(getattr(params, name)).all():
             raise SchemaError(f"{path}: non-finite value in {name}")
-    feat = Featurizer(vocab_size=vocab_size, dim=D)
+    try:
+        feat = Featurizer(vocab_size=vocab_size, dim=D)
+    except ConfigError as e:  # a stored D that no config could have made
+        raise SchemaError(f"{path}: meta D and vocab_size: {e}") from e
     extra = {k: v for k, v in meta.items()
              if k not in ("D", "H", "K", "step", "config_digest", "vocab_size")}
     return Model(params=params, featurizer=feat, num_labels=K, meta=extra)

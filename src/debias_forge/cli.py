@@ -16,11 +16,9 @@ import difflib
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -30,10 +28,7 @@ from .classifier import check_model_data, load_checkpoint, save_checkpoint
 from .errors import (
     ConfigError, DataError, DegenerateShallowError, NumericError, SchemaError, open_text,
 )
-from .evaluation import (
-    accuracy, confidence_histogram, proportion_rows, proportion_seed, sweep_report,
-    sweep_seed,
-)
+from .evaluation import accuracy, bias_proportion_study, confidence_histogram, sweep_study
 from .objectives import AnnealSchedule
 from .shallow import (
     MAX_UNSEEN, ShallowConfig, ShallowThresholds, compute_bias_weights,
@@ -44,8 +39,6 @@ from .synthgen import SynthConfig, gen_dataset, inject_bias, load_dataset, make_
 from .trainer import TrainConfig, read_metrics, train_main, train_teacher, write_metrics
 
 logger = logging.getLogger("debias_forge")
-
-REPORT_KINDS = ("trajectory", "histogram", "sweep", "proportion", "stability", "compare")
 
 # the config section that each config dataclass is read from, field by field;
 # a TrainConfig's anneal schedule comes from the anneal.* keys instead
@@ -247,8 +240,8 @@ class Run:
         self.outputs.append(path)
         return path
 
-    def finish(self):
-        """Write the manifest of the outputs so far, if there are any."""
+    def finish(self, status: int, error):
+        """Write the manifest of the outputs so far, if any, with the exit status and error."""
         if not self.outputs:
             return
         args = self.args
@@ -258,12 +251,14 @@ class Run:
             "inputs": self.inputs or [args.config or "<defaults>"], "outputs": self.outputs,
             "seed": self.cfg[MANIFEST_SEEDS[args.command]], "version": __version__,
             "started_at": self.started, "finished_at": time.time(),
+            "status": status, "error": error,
         })
 
 
-def write_csv(path, fieldnames, rows):
+def write_csv(path, rows):
+    """rows, dicts with the same keys, under a header of the first one's keys."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
@@ -312,8 +307,7 @@ def cmd_shallow(args, run) -> int:
             train, _as_list(cfg["shallow.grid_sizes"]), _as_list(cfg["shallow.grid_epochs"]),
             base_cfg=s_cfg, thresholds=thresholds,
         )
-        write_csv(run.output("grid-{}.csv"),
-                  ["n_s", "e_s", "unseen_acc", "high_conf_frac", "degenerate", "pass"], rows)
+        write_csv(run.output("grid-{}.csv"), rows)
         if best is None:
             write_json(run.output("diagnosis-{}.json"), {"passed": False, "grid_rows": len(rows)})
             raise DegenerateShallowError("no grid cell passed the selection thresholds")
@@ -401,7 +395,7 @@ def cmd_train(args, run) -> int:
     return 0
 
 
-# -- report helpers ----------------------------------------------------------
+# -- reports: each kind returns its CSV rows and its JSON summary -----------
 
 def worker_count(jobs: int) -> int:
     """The processes --jobs asks for, at most one per CPU."""
@@ -410,114 +404,83 @@ def worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def _pieces_per_seed(n_seeds, n_values, jobs) -> int:
-    """How many pieces to cut each seed's values into for `jobs` processes.
+def report_trajectory(args, run):
+    if not args.metrics:
+        raise ConfigError("report kind 'trajectory' requires --metrics")
+    records = [r for r in read_metrics(run.read(args.metrics)) if "acc_original" in r]
+    if not records:
+        raise DataError(f"{args.metrics}: no evaluation records; "
+                        "was training run with an eval suite?")
+    # five columns, of which a split that the run did not evaluate stays empty
+    columns = ("step", "acc_original", "acc_biased", "acc_anti_biased", "alpha")
+    rows = [{k: r.get(k, "") for k in columns} for r in records]
+    return rows, {"points": len(rows), "final": records[-1]}
 
-    Each piece rebuilds its seed's data, suite and (for the sweep) identify
-    stage, so there is one piece per seed while the seeds alone keep every
-    process busy, and just enough pieces to do so otherwise.
-    """
-    return max(1, min(n_values, math.ceil(jobs / max(n_seeds, 1))))
+
+def report_histogram(args, run):
+    if not (args.checkpoint and args.data):
+        raise ConfigError("report kind 'histogram' requires --checkpoint and --data")
+    model = load_checkpoint(run.read(args.checkpoint))
+    split = load_dataset(run.read(args.data))
+    hist = confidence_histogram(model, split, bin_width=run.cfg["report.bin_width"])
+    rows = [{"bin_lo": lo, "bin_hi": hi, "count": n, "correct": c, "correct_fraction": f}
+            for lo, hi, n, c, f in zip(hist.edges, hist.edges[1:], hist.counts, hist.correct,
+                                       hist.correct_fraction)]
+    return rows, {"mean_confidence": hist.mean_confidence, "examples": len(split)}
 
 
-def _fan_out_seeds(worker, values, fixed, seeds, jobs):
-    """worker(piece, *fixed, seed) over every seed and piece of `values`, on up
-    to `jobs` processes; returns each seed's per-value results, in seed order."""
-    k = _pieces_per_seed(len(seeds), len(values), jobs)
-    bounds = [i * len(values) // k for i in range(k + 1)]
-    pieces = [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    job_list = [(piece, *fixed, s) for s in seeds for piece in pieces]
-    if jobs > 1 and len(job_list) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(job_list))) as pool:
-            parts = list(pool.map(worker, *zip(*job_list)))
-    else:
-        parts = [worker(*job) for job in job_list]
-    return [[r for part in parts[i:i + k] for r in part] for i in range(0, len(parts), k)]
+def report_sweep(args, run):
+    cfg = run.cfg
+    method = cfg["report.method"]
+    rows = sweep_study(_as_list(cfg["report.a_values"]), method, config_of(SynthConfig, cfg),
+                       config_of(TrainConfig, cfg), config_of(ShallowConfig, cfg),
+                       _as_list(cfg["report.seeds"]), jobs=args.jobs)
+    return rows, {"method": method, "points": len(rows)}
+
+
+def report_proportion(args, run):
+    cfg = run.cfg
+    rows = bias_proportion_study(_as_list(cfg["report.m_values"]), config_of(SynthConfig, cfg),
+                                 config_of(TrainConfig, cfg), _as_list(cfg["report.seeds"]),
+                                 jobs=args.jobs)
+    return rows, {"points": len(rows)}
+
+
+def report_stability(args, run):
+    if not args.data:
+        raise ConfigError("report kind 'stability' requires --data")
+    train = load_dataset(run.read(args.data))
+    eval_ds = load_dataset(run.read(args.eval)) if args.eval else train
+    rows = stability_study(train, config_of(ShallowConfig, run.cfg), run.cfg["report.n_runs"],
+                           eval_ds)
+    ok = all(r["easy_acc"] > r["hard_acc"] for r in rows
+             if not r["degenerate"] and r["easy_n"] and r["hard_n"])
+    return rows, {"runs": len(rows), "degenerate_runs": sum(r["degenerate"] for r in rows),
+                  "easy_above_hard": ok}
+
+
+def report_compare(args, run):
+    if not args.checkpoint_list or not args.suite_dir:
+        raise ConfigError("report kind 'compare' requires --checkpoints and --suite-dir")
+    suite = load_suite(run, args.suite_dir, required=True)
+    rows = []
+    for path in args.checkpoint_list:
+        model = load_checkpoint(run.read(path))
+        rows.append({"method": model.meta.get("method", os.path.basename(path)),
+                     **{split: accuracy(model, ds) for split, ds in suite.items()}})
+    return rows, {"methods": [r["method"] for r in rows]}
+
+
+REPORTS = {"trajectory": report_trajectory, "histogram": report_histogram, "sweep": report_sweep,
+           "proportion": report_proportion, "stability": report_stability,
+           "compare": report_compare}
 
 
 def cmd_report(args, run) -> int:
-    cfg = run.cfg
-
-    def emit(fieldnames, rows, summary):
-        write_csv(run.output(f"{args.kind}-{{}}.csv"), fieldnames, rows)
-        write_json(run.output(f"{args.kind}-{{}}.json"),
-                   {"digest": run.digest, "kind": args.kind, **summary})
-
-    if args.kind == "trajectory":
-        if not args.metrics:
-            raise ConfigError("report kind 'trajectory' requires --metrics")
-        rows = [r for r in read_metrics(run.read(args.metrics)) if "acc_original" in r]
-        if not rows:
-            raise DataError(f"{args.metrics}: no evaluation records; "
-                            "was training run with an eval suite?")
-        fields = ["step", "acc_original", "acc_biased", "acc_anti_biased", "alpha"]
-        emit(fields, rows, {"points": len(rows), "final": rows[-1]})
-
-    elif args.kind == "histogram":
-        if not (args.checkpoint and args.data):
-            raise ConfigError("report kind 'histogram' requires --checkpoint and --data")
-        model = load_checkpoint(run.read(args.checkpoint))
-        split = load_dataset(run.read(args.data))
-        hist = confidence_histogram(model, split, bin_width=cfg["report.bin_width"])
-        rows = [{"bin_lo": hist.edges[i], "bin_hi": hist.edges[i + 1],
-                 "count": hist.counts[i], "correct": hist.correct[i],
-                 "correct_fraction": hist.correct_fraction[i]}
-                for i in range(len(hist.counts))]
-        emit(["bin_lo", "bin_hi", "count", "correct", "correct_fraction"],
-             rows, {"mean_confidence": hist.mean_confidence, "examples": len(split)})
-
-    elif args.kind == "sweep":
-        method = cfg["report.method"]
-        a_values = _as_list(cfg["report.a_values"])
-        per_seed = _fan_out_seeds(
-            sweep_seed, a_values, (method, config_of(SynthConfig, cfg), config_of(TrainConfig, cfg),
-                                   config_of(ShallowConfig, cfg)),
-            _as_list(cfg["report.seeds"]), args.jobs)
-        points = sweep_report(a_values, per_seed)
-        fields = ["value", "original_mean", "original_std",
-                  "anti_biased_mean", "anti_biased_std", "seeds"]
-        emit(fields, points, {"method": method, "points": len(points)})
-
-    elif args.kind == "proportion":
-        m_values = _as_list(cfg["report.m_values"])
-        per_seed = _fan_out_seeds(
-            proportion_seed, m_values, (config_of(SynthConfig, cfg), config_of(TrainConfig, cfg)),
-            _as_list(cfg["report.seeds"]), args.jobs)
-        rows = proportion_rows(m_values, per_seed)
-        fields = ["m", "seeds", "original_mean", "original_std", "biased_mean",
-                  "biased_std", "anti_biased_mean", "anti_biased_std"]
-        emit(fields, rows, {"points": len(rows)})
-
-    elif args.kind == "stability":
-        if not args.data:
-            raise ConfigError("report kind 'stability' requires --data")
-        train = load_dataset(run.read(args.data))
-        eval_ds = load_dataset(run.read(args.eval)) if args.eval else train
-        rows = stability_study(train, config_of(ShallowConfig, cfg), cfg["report.n_runs"], eval_ds)
-        fields = ["run", "seed", "degenerate", "unseen_acc", "easy_acc", "easy_n",
-                  "hard_acc", "hard_n", "overall_acc"]
-        ok = all(r["easy_acc"] > r["hard_acc"] for r in rows
-                 if not r["degenerate"] and r["easy_n"] and r["hard_n"])
-        emit(fields, rows,
-             {"runs": len(rows), "degenerate_runs": sum(r["degenerate"] for r in rows),
-              "easy_above_hard": ok})
-
-    elif args.kind == "compare":
-        if not args.checkpoint_list or not args.suite_dir:
-            raise ConfigError("report kind 'compare' requires --checkpoints and --suite-dir")
-        suite = load_suite(run, args.suite_dir, required=True)
-        rows = []
-        for path in args.checkpoint_list:
-            model = load_checkpoint(run.read(path))
-            row = {"method": model.meta.get("method", os.path.basename(path))}
-            row.update({split: accuracy(model, ds) for split, ds in suite.items()})
-            rows.append(row)
-        emit(["method", "original", "biased", "anti_biased"], rows,
-             {"methods": [r["method"] for r in rows]})
-
-    else:
-        raise ConfigError(f"unknown report kind {args.kind!r}; expected one of {REPORT_KINDS}")
-
+    rows, summary = REPORTS[args.kind](args, run)
+    write_csv(run.output(f"{args.kind}-{{}}.csv"), rows)
+    write_json(run.output(f"{args.kind}-{{}}.json"),
+               {"digest": run.digest, "kind": args.kind, **summary})
     logger.info("report %s written under %s", args.kind, args.out_dir)
     return 0
 
@@ -578,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory with eval_<split>.jsonl for trajectory telemetry")
 
     p = sub.add_parser("report", parents=[common], help="emit CSV/JSON analysis reports")
-    p.add_argument("--kind", required=True, choices=REPORT_KINDS)
+    p.add_argument("--kind", required=True, choices=REPORTS)
     p.add_argument("--metrics", default=None, help="metrics JSONL (trajectory)")
     p.add_argument("--checkpoint", default=None, help="model checkpoint (histogram)")
     p.add_argument("--checkpoints", dest="checkpoint_list", nargs="+", default=None,
@@ -611,17 +574,20 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    # what the manifest records if an uncaught exception ends the command
+    run, status, error = None, 1, "uncaught exception"
     try:
         args.overrides = dict(_parse_override(s) for s in args.overrides_raw)
         args.jobs = worker_count(args.jobs)
         run = Run(args)
-        try:
-            return COMMANDS[args.command](args, run)
-        finally:
-            run.finish()
+        status, error = COMMANDS[args.command](args, run), None
     except tuple(EXIT_CODES) as e:
         logger.error("%s", e)
-        return next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind))
+        status, error = next(c for kind, c in EXIT_CODES.items() if isinstance(e, kind)), str(e)
+    finally:
+        if run:
+            run.finish(status, error)
+    return status
 
 
 if __name__ == "__main__":

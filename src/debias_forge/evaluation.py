@@ -1,7 +1,9 @@
-"""Evaluation and analysis: split accuracy, confidence histograms, the
-bias-proportion study, and the annealing sweep.
+"""Evaluation and analysis: split accuracy, confidence histograms, and the
+bias-proportion and annealing studies, whose rows are the same for any `jobs`.
 """
 
+import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -11,6 +13,10 @@ from .objectives import AnnealSchedule
 from .shallow import ShallowConfig, compute_bias_weights, train_shallow
 from .synthgen import SynthConfig, gen_dataset, inject_bias, make_eval_suite
 from .trainer import TrainConfig, train_main, train_teacher
+
+# the most bins a confidence histogram may have: every bin_width >= 1e-5 stays
+# below it for any label count, and a width far below would exhaust memory
+MAX_BINS = 100_000
 
 
 def accuracy(model, split) -> float:
@@ -32,9 +38,13 @@ class ConfidenceHistogram:
 
 def confidence_histogram(model, split, bin_width: float = 0.05) -> ConfidenceHistogram:
     """Histogram of max predicted probability over [1/K, 1], with per-bin
-    correct-prediction counts."""
+    correct-prediction counts; at most MAX_BINS bins."""
     if bin_width <= 0 or bin_width > 1:
         raise ConfigError("bin_width must be in (0, 1]")
+    lo = 1.0 / model.num_labels
+    if (1.0 - lo) / bin_width > MAX_BINS:
+        raise ConfigError(f"bin_width {bin_width} cuts [1/K, 1] into more than "
+                          f"MAX_BINS = {MAX_BINS} bins")
     if not len(split):
         raise DataError("empty split")
     probs = model.predict_proba(split)
@@ -42,7 +52,6 @@ def confidence_histogram(model, split, bin_width: float = 0.05) -> ConfidenceHis
     maxp = probs[np.arange(len(split)), pred]
     gold = split.labels()
 
-    lo = 1.0 / model.num_labels
     edges = [lo]
     while edges[-1] + bin_width < 1.0 - 1e-12:
         edges.append(edges[-1] + bin_width)
@@ -56,6 +65,32 @@ def confidence_histogram(model, split, bin_width: float = 0.05) -> ConfidenceHis
     frac = [float(c) / n if n else 0.0 for c, n in zip(correct, counts)]
     return ConfidenceHistogram(edges.tolist(), counts.tolist(), correct.tolist(), frac,
                                float(maxp.mean()))
+
+
+def _pieces_per_seed(n_seeds, n_values, jobs) -> int:
+    """How many pieces to cut each seed's values into for `jobs` processes.
+
+    Each piece rebuilds its seed's data, suite and (for the sweep) identify
+    stage, so there is one piece per seed while the seeds alone keep every
+    process busy, and just enough pieces to do so otherwise.
+    """
+    return max(1, min(n_values, math.ceil(jobs / max(n_seeds, 1))))
+
+
+def _fan_out_seeds(worker, values, fixed, seeds, jobs):
+    """worker(piece, *fixed, seed) over every seed and piece of `values`, on up
+    to `jobs` processes (in this process at jobs=1); returns each seed's
+    per-value results, in seed order."""
+    k = _pieces_per_seed(len(seeds), len(values), jobs)
+    bounds = [i * len(values) // k for i in range(k + 1)]
+    pieces = [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    job_list = [(piece, *fixed, s) for s in seeds for piece in pieces]
+    if jobs > 1 and len(job_list) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(job_list))) as pool:
+            parts = list(pool.map(worker, *zip(*job_list)))
+    else:
+        parts = [worker(*job) for job in job_list]
+    return [[r for part in parts[i:i + k] for r in part] for i in range(0, len(parts), k)]
 
 
 def _seed_summary(per_seed, splits) -> list:
@@ -96,16 +131,13 @@ def proportion_seed(m_values, synth_cfg: SynthConfig, train_cfg: TrainConfig, se
     return [{split: accuracy(model, ds) for split, ds in suite.items()} for model in models]
 
 
-def proportion_rows(m_values, per_seed) -> list:
-    """Rows of the bias-proportion study from proportion_seed results, in seed order."""
+def bias_proportion_study(m_values, synth_cfg: SynthConfig, train_cfg: TrainConfig, seeds,
+                          jobs: int = 1) -> list:
+    """Baseline training per (m, seed) on up to `jobs` processes; per m, the
+    mean and spread over seeds of the final accuracy on every split."""
+    per_seed = _fan_out_seeds(proportion_seed, m_values, (synth_cfg, train_cfg), seeds, jobs)
     summary = _seed_summary(per_seed, ("original", "biased", "anti_biased"))
-    return [{"m": m, "seeds": len(per_seed), **row} for m, row in zip(m_values, summary)]
-
-
-def bias_proportion_study(m_values, synth_cfg: SynthConfig, train_cfg: TrainConfig, seeds):
-    """Baseline training per (m, seed); mean final accuracy on all splits."""
-    return proportion_rows(
-        m_values, [proportion_seed(m_values, synth_cfg, train_cfg, s) for s in seeds])
+    return [{"m": m, "seeds": len(seeds), **row} for m, row in zip(m_values, summary)]
 
 
 def identify_stage(train, shallow_cfg: ShallowConfig, seed: int):
@@ -146,9 +178,12 @@ def sweep_seed(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainCo
             for model in models]
 
 
-def sweep_report(a_values, per_seed) -> list:
-    """Rows of the anneal sweep over the minimum alpha from sweep_seed
-    results, in seed order."""
+def sweep_study(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainConfig,
+                shallow_cfg: ShallowConfig, seeds, jobs: int = 1) -> list:
+    """The anneal sweep over the minimum alpha on up to `jobs` processes; per
+    a, the mean and spread over seeds of the debiased accuracy on the original
+    and anti-biased splits."""
+    per_seed = _fan_out_seeds(sweep_seed, a_values, (method, synth_cfg, train_cfg, shallow_cfg),
+                              seeds, jobs)
     summary = _seed_summary(per_seed, ("original", "anti_biased"))
-    return [{"value": a, **row, "seeds": len(per_seed)} for a, row in zip(a_values, summary)]
-
+    return [{"value": a, **row, "seeds": len(seeds)} for a, row in zip(a_values, summary)]

@@ -448,13 +448,6 @@ def make_eval_suite(config: SynthConfig) -> dict:
     }
 
 
-def bias_oracle_predict(example: Example):
-    """Label decoded from the bias token, or None (abstain) on clean examples."""
-    if example.bias_token is None:
-        return None
-    return int(example.bias_token)
-
-
 def save_dataset(dataset: Dataset, path):
     """JSONL: header line with metadata, then one object per example, as
     json.dumps(example._asdict(), sort_keys=True) writes it. The lines are

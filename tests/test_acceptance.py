@@ -192,7 +192,7 @@ def test_c06_bias_proportion_monotone():
     t0 = time.monotonic()
     ms = [0.6, 0.7, 0.8, 0.9]
     rows = bias_proportion_study(ms, SynthConfig(), TrainConfig(epochs=4),
-                                 seeds=[1, 2, 3])
+                                 seeds=[1, 2, 3], jobs=min(2, os.cpu_count() or 1))
     anti = [r["anti_biased_mean"] for r in rows]
     orig = [r["original_mean"] for r in rows]
     mono = all(anti[i + 1] <= anti[i] + 0.02 for i in range(len(anti) - 1))

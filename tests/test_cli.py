@@ -12,10 +12,11 @@ import debias_forge
 from debias_forge import shallow
 from debias_forge.classifier import Model, load_checkpoint
 from debias_forge.cli import (
-    DEFAULTS, _parse_override, _pieces_per_seed, config_digest, config_of, main,
-    parse_config_file, resolve_config, worker_count,
+    DEFAULTS, _parse_override, config_digest, config_of, main, parse_config_file,
+    resolve_config, worker_count,
 )
 from debias_forge.errors import ConfigError
+from debias_forge.evaluation import _pieces_per_seed
 from debias_forge.shallow import ShallowConfig
 from debias_forge.synthgen import SynthConfig, load_dataset
 from debias_forge.trainer import TrainConfig, read_metrics
@@ -456,7 +457,7 @@ def test_trajectory_refuses_a_record_of_other_types(tmp_path, caplog, line):
     assert not out.exists()
 
 
-def _manifest(out, command, digest):
+def _manifest(out, command, digest, status=0, error=None):
     """The manifest of command in out, once its outputs are checked to be
     exactly the other files of out, each of them there."""
     manifest = json.loads((out / f"{command}-{digest}.manifest.json").read_text())
@@ -466,6 +467,7 @@ def _manifest(out, command, digest):
     assert (manifest["command"], manifest["digest"]) == (command, digest)
     assert manifest["version"] == debias_forge.__version__
     assert manifest["started_at"] <= manifest["finished_at"]
+    assert (manifest["status"], manifest["error"]) == (status, error)
     return manifest
 
 
@@ -599,6 +601,57 @@ def test_train_baseline_and_trajectory_report(pipeline, tmp_path):
     csv_path = rep / f"trajectory-{pipeline['digest']}.csv"
     header = csv_path.read_text().splitlines()[0]
     assert header == "step,acc_original,acc_biased,acc_anti_biased,alpha"
+
+
+def test_trajectory_of_a_run_that_evaluated_one_split(pipeline, tmp_path):
+    out, eval_dir, rep = pipeline["out"], tmp_path / "only_original", tmp_path / "rep"
+    eval_dir.mkdir()
+    (eval_dir / "eval_original.jsonl").write_bytes((out / "eval_original.jsonl").read_bytes())
+    assert _run("train", "--config", pipeline["conf"], "--data", str(out / "train.jsonl"),
+                "--eval-dir", str(eval_dir), "--out-dir", str(tmp_path / "train"),
+                "--seed", "5", "--quiet") == 0
+    metrics = next((tmp_path / "train").glob("run-*.metrics.jsonl"))
+    assert _run("report", "--kind", "trajectory", "--metrics", str(metrics),
+                "--config", pipeline["conf"], "--out-dir", str(rep), "--seed", "5",
+                "--quiet") == 0
+    header, *lines = next(rep.glob("trajectory-*.csv")).read_text().splitlines()
+    assert header == "step,acc_original,acc_biased,acc_anti_biased,alpha"
+    cells = [line.split(",") for line in lines]
+    assert cells and all(len(c) == 5 and c[0] and c[1] and c[2:4] == ["", ""] and c[4]
+                         for c in cells)
+
+
+def test_feature_dim_past_the_pair_hash_range_exits_2(pipeline, tmp_path):
+    # 2**32 + 2*60 + 60: the pair hash is 32 bits, so no Featurizer takes it
+    train = str(pipeline["out"] / "train.jsonl")
+    for argv in (["train", "--set", "train.feature_dim=4294967476"],
+                 ["shallow", "--set", "shallow.feature_dim=4294967476"]):
+        out = tmp_path / argv[0]
+        assert _run(*argv, "--config", pipeline["conf"], "--data", train,
+                    "--out-dir", str(out), "--seed", "5", "--quiet") == 2
+        assert not out.exists()
+
+
+def test_checkpoint_of_an_impossible_feature_dim_exits_3(pipeline, tmp_path):
+    # meta D=4 with vocabulary 60 leaves no room for pair hashes: no config
+    # could have made it, so the file is at fault
+    obj = json.loads(pipeline["ckpt"].read_text())
+    obj["meta"]["D"], obj["W1"] = 4, obj["W1"][:4]
+    bad = tmp_path / "bad.ckpt.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "x"
+    assert _run("report", "--kind", "compare", "--checkpoints", str(bad),
+                "--suite-dir", str(pipeline["out"]), "--out-dir", str(out), "--quiet") == 3
+    assert not out.exists()
+
+
+def test_histogram_past_max_bins_exits_2(pipeline, tmp_path):
+    out = tmp_path / "x"
+    assert _run("report", "--kind", "histogram", "--config", pipeline["conf"],
+                "--checkpoint", str(pipeline["ckpt"]),
+                "--data", str(pipeline["out"] / "eval_original.jsonl"),
+                "--set", "report.bin_width=1e-300", "--out-dir", str(out), "--quiet") == 2
+    assert not out.exists()
 
 
 def test_train_debias_method_via_cli(pipeline):
@@ -756,7 +809,8 @@ def test_shallow_grid_no_pass_exits_5(pipeline, tmp_path):
     digest = config_digest(resolve_config(pipeline["conf"], {
         "shallow.grid_sizes": 150, "shallow.grid_epochs": 1, "shallow.acc_band": [0.98, 0.99],
     }, seed=5))
-    m = _manifest(out, "shallow", digest)
+    m = _manifest(out, "shallow", digest, status=5,
+                  error="no grid cell passed the selection thresholds")
     assert m["outputs"] == [str(out / f"grid-{digest}.csv"), str(out / f"diagnosis-{digest}.json")]
 
 

@@ -5,14 +5,12 @@ import pytest
 
 from debias_forge.errors import ConfigError, DataError
 from debias_forge.evaluation import (
-    accuracy, bias_proportion_study, confidence_histogram,
-    identify_stage, proportion_seed, sweep_report, sweep_seed,
+    MAX_BINS, accuracy, bias_proportion_study, confidence_histogram,
+    identify_stage, proportion_seed, sweep_study,
 )
 from debias_forge.objectives import AnnealSchedule
 from debias_forge.shallow import ShallowConfig
-from debias_forge.synthgen import (
-    SynthConfig, bias_oracle_predict, gen_dataset, inject_bias, make_eval_suite,
-)
+from debias_forge.synthgen import SynthConfig, gen_dataset, inject_bias, make_eval_suite
 from debias_forge.trainer import TrainConfig, train_main, train_teacher
 
 
@@ -31,12 +29,12 @@ class _StubModel:
 
 
 def _oracle_stub(split):
-    """Model that plays the bias oracle: abstentions predict label 0."""
+    """Model that plays the bias oracle, which predicts the label its bias
+    token decodes to: abstentions (clean examples) predict label 0."""
     probs = {}
     for ex in split.examples:
-        pred = bias_oracle_predict(ex)
         p = np.full(3, 0.05)
-        p[0 if pred is None else pred] = 0.9
+        p[0 if ex.bias_token is None else ex.bias_token] = 0.9
         probs[ex.id] = p
     return _StubModel(probs)
 
@@ -99,6 +97,20 @@ def test_histogram_bad_bin_width(tiny_suite):
     with pytest.raises(ConfigError):
         confidence_histogram(_oracle_stub(tiny_suite["original"]),
                              tiny_suite["original"], bin_width=0.0)
+
+
+@pytest.mark.parametrize("num_labels", [2, 3, 10**9])
+def test_histogram_bins_stop_at_max_bins(tiny_suite, num_labels):
+    split = tiny_suite["original"]
+    model = _oracle_stub(split)
+    model.num_labels = num_labels
+    # every bin_width of at least 1e-5 is kept, whatever the label count
+    hist = confidence_histogram(model, split, bin_width=1e-5)
+    assert len(hist.counts) <= MAX_BINS and sum(hist.counts) == len(split)
+    # a width that would cut more bins is refused before any is appended
+    for width in (1e-300, (1 - 1 / num_labels) / (MAX_BINS + 1)):
+        with pytest.raises(ConfigError, match="MAX_BINS"):
+            confidence_histogram(model, split, bin_width=width)
 
 
 def test_easy_hard_partition_trivial_splits(tiny_suite):
@@ -204,13 +216,11 @@ def test_anneal_sweep_equals_naive_loop(tiny_cfg):
         row["original_mean"], row["original_std"] = _mean_std(orig)
         row["anti_biased_mean"], row["anti_biased_std"] = _mean_std(anti)
         expected.append(row)
-    points = sweep_report(a_values, [
-        sweep_seed(a_values, "conf_reg", tiny_cfg, TINY_TRAIN, TINY_SHALLOW, s) for s in SEEDS])
-    assert points == expected
+    assert sweep_study(a_values, "conf_reg", tiny_cfg, TINY_TRAIN, TINY_SHALLOW, SEEDS) == expected
 
 
 def test_anneal_sweep_rejects_baseline_and_empty_seeds(tiny_cfg):
     with pytest.raises(ConfigError):
-        sweep_seed([1.0], "baseline_ce", tiny_cfg, TINY_TRAIN, TINY_SHALLOW, 1)
+        sweep_study([1.0], "baseline_ce", tiny_cfg, TINY_TRAIN, TINY_SHALLOW, [1])
     with pytest.raises(ConfigError):
-        sweep_report([1.0], [])
+        sweep_study([1.0], "conf_reg", tiny_cfg, TINY_TRAIN, TINY_SHALLOW, [])

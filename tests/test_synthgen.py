@@ -13,7 +13,7 @@ from debias_forge.classifier import Featurizer
 from debias_forge.errors import ConfigError, DataError
 from debias_forge.rng import substream
 from debias_forge.synthgen import (
-    BIAS_TAGS, Dataset, Example, SynthConfig, _round_half_up, bias_oracle_predict, gen_dataset,
+    BIAS_TAGS, Dataset, Example, SynthConfig, _round_half_up, gen_dataset,
     inject_bias, load_dataset, make_eval_suite, save_dataset,
 )
 
@@ -117,15 +117,6 @@ def test_eval_suite_structure(tiny_suite, tiny_cfg):
     assert all(ex.bias_token is None for ex in tiny_suite["original"].examples)
     assert all(ex.bias_token == ex.label for ex in tiny_suite["biased"].examples)
     assert all(ex.bias_token != ex.label and ex.bias_token is not None
-               for ex in tiny_suite["anti_biased"].examples)
-
-
-def test_bias_oracle(tiny_suite):
-    for ex in tiny_suite["original"].examples:
-        assert bias_oracle_predict(ex) is None
-    assert all(bias_oracle_predict(ex) == ex.label
-               for ex in tiny_suite["biased"].examples)
-    assert all(bias_oracle_predict(ex) != ex.label
                for ex in tiny_suite["anti_biased"].examples)
 
 
@@ -425,7 +416,7 @@ def test_columns_keep_every_example(roundtrip_dir, examples, data):
     assert ds.examples[:] == examples and ds.examples[1::2] == examples[1::2]
     assert [ds.examples[i] for i in range(-len(examples), len(examples))] == examples * 2
     assert ds.labels().tolist() == [ex.label for ex in examples]
-    assert ds.oracle_easy().tolist() == [bias_oracle_predict(ex) == ex.label for ex in examples]
+    assert ds.oracle_easy().tolist() == [ex.bias_token == ex.label for ex in examples]
     first, second = roundtrip_dir / "a.jsonl", roundtrip_dir / "b.jsonl"
     save_dataset(ds, first)
     loaded = load_dataset(first)
