@@ -36,6 +36,9 @@ LOG_EPS = 1e-12
 _BLOCK_ROWS = 512
 _HASH_MUL_A = np.uint32(1_000_003)
 _HASH_MUL = np.uint32(2_654_435_761)
+# the most first-layer weights, feature_dim * hidden, that a run may train:
+# W1 and each of its Adam moments take 32 MB at the cap, its checkpoint ~100 MB
+MAX_W1_WEIGHTS = 2**22
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +384,9 @@ def check_run_config(cfg):
         raise ConfigError(f"learning_rate must be > 0, got {cfg.learning_rate}")
     if not 0.0 <= cfg.adam_beta2 < 1.0:
         raise ConfigError(f"adam_beta2 must lie in [0, 1), got {cfg.adam_beta2}")
+    if cfg.feature_dim * cfg.hidden > MAX_W1_WEIGHTS:
+        raise ConfigError(f"feature_dim * hidden = {cfg.feature_dim * cfg.hidden} is past "
+                          f"MAX_W1_WEIGHTS = {MAX_W1_WEIGHTS}")
 
 
 class MinibatchRun:

@@ -13,7 +13,6 @@ failure, 5 degenerate shallow model.
 import argparse
 import csv
 import difflib
-import hashlib
 import json
 import logging
 import os
@@ -26,7 +25,8 @@ import numpy as np
 from . import __version__
 from .classifier import check_model_data, load_checkpoint, save_checkpoint
 from .errors import (
-    ConfigError, DataError, DegenerateShallowError, NumericError, SchemaError, open_text,
+    ConfigError, DataError, DegenerateShallowError, NumericError, SchemaError, config_digest,
+    open_text,
 )
 from .evaluation import accuracy, bias_proportion_study, confidence_histogram, sweep_study
 from .objectives import AnnealSchedule
@@ -179,11 +179,6 @@ def resolve_config(config_path=None, overrides=None, seed=None) -> dict:
     return cfg
 
 
-def config_digest(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def config_of(cls, cfg: dict):
     """The cls config dataclass with each field read from its config key."""
     kw = {f.name: cfg[key] for key, f in _field_keys(cls).items()}
@@ -286,7 +281,6 @@ def load_suite(run, directory, required) -> dict:
 
 def cmd_generate(args, run) -> int:
     scfg = config_of(SynthConfig, run.cfg)
-    scfg.validate()
     train = inject_bias(gen_dataset(scfg), m=scfg.bias_proportion,
                         rho=scfg.manipulated_fraction, seed=scfg.seed)
     suite = make_eval_suite(scfg)
@@ -299,8 +293,8 @@ def cmd_generate(args, run) -> int:
 
 def cmd_shallow(args, run) -> int:
     cfg = run.cfg
-    train = load_dataset(run.read(args.data))
     s_cfg = config_of(ShallowConfig, cfg)
+    train = load_dataset(run.read(args.data))
     thresholds = shallow_thresholds(cfg, train)
     if args.grid:
         best, rows, best_fit = grid_search_shallow(
@@ -353,7 +347,6 @@ def cmd_identify(args, run) -> int:
 
 def cmd_train(args, run) -> int:
     t_cfg = config_of(TrainConfig, run.cfg)
-    t_cfg.validate()
     train = load_dataset(run.read(args.data))
 
     weights_path = args.weights or t_cfg.weights_path
@@ -512,7 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="override every *.seed key (default: DEBIAS_FORGE_SEED)")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for fan-out commands (at most one per CPU)")
+                        help="worker processes for report --kind proportion and sweep (at "
+                             "most one per CPU); every other command, stability included, "
+                             "runs in one process")
     common.add_argument("--out-dir", default=".", help="output directory")
     common.add_argument("--quiet", action="store_true", help="suppress progress logging")
     common.add_argument("--set", dest="overrides_raw", action="append", default=[],

@@ -1,11 +1,13 @@
 """Exception hierarchy shared across the package, the UTF-8 reader that
-maps undecodable input files onto it, and the JSON-lines reader that the
-data-file loaders share.
+maps undecodable input files onto it, the JSON-lines reader of the data
+files, and the config digest that the CLI and the dataset header share.
 
 Each class maps to a distinct CLI exit code (see cli.EXIT_CODES and the
 exit codes in the cli module docstring).
 """
 
+import hashlib
+import json
 from contextlib import contextmanager
 
 import orjson
@@ -72,3 +74,9 @@ def read_json_lines(path):
             except (ValueError, RecursionError) as e:  # orjson.JSONDecodeError is a ValueError
                 raise DataError(f"{path}:{lineno}: bad JSON line: {e}") from e
             yield lineno, value
+
+
+def config_digest(cfg: dict) -> str:
+    """The first 16 hex digits of the sha256 of cfg as sorted-key JSON."""
+    blob = json.dumps(cfg, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]

@@ -5,7 +5,6 @@ selection grid search and the multi-seed stability study.
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
@@ -31,15 +30,17 @@ class ShallowConfig:
     adam_beta2: float = 0.9
     seed: int = 0
 
-    def validate(self, train_size=None):
+    def __post_init__(self):
         if self.sample_size < 1:
             raise ConfigError("sample_size must be >= 1")
-        if train_size is not None and self.sample_size >= train_size:
-            raise ConfigError(
-                f"sample_size {self.sample_size} must be smaller than the "
-                f"training set ({train_size})"
-            )
         check_run_config(self)
+
+
+def check_sample_size(sample_size: int, train):
+    """ConfigError unless a subset of sample_size leaves some of train unseen."""
+    if sample_size >= len(train):
+        raise ConfigError(f"sample_size {sample_size} must be smaller than the "
+                          f"training set ({len(train)})")
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ class ShallowRun:
     @classmethod
     def start(cls, train, cfg: ShallowConfig):
         """Pick the seeded subset, featurize it and initialize; no epochs yet."""
-        cfg.validate(train_size=len(train))
+        check_sample_size(cfg.sample_size, train)
         pick = substream(cfg.seed, "subsample").permutation(len(train))[:cfg.sample_size]
         subset = train.examples.take(np.sort(pick))
         featurizer = Featurizer(vocab_size=train.vocab_size, dim=cfg.feature_dim)
@@ -131,7 +132,6 @@ def train_shallow(train, cfg: ShallowConfig, run: ShallowRun = None):
     cfg.epochs run bit for bit, and continuing the run further leaves it
     unchanged.
     """
-    cfg.validate(train_size=len(train))
     if run is None:
         run = ShallowRun.start(train, cfg)
     elif replace(run.cfg, epochs=cfg.epochs) != cfg:
@@ -213,10 +213,11 @@ def grid_search_shallow(train, sizes, epoch_counts, base_cfg: ShallowConfig = Sh
     if len(set(sizes)) < len(sizes) or len(set(epoch_counts)) < len(epoch_counts):
         raise ConfigError(f"grid values must not repeat, got sizes {sizes} "
                           f"and epoch_counts {epoch_counts}")
-    grid = [[replace(base_cfg, sample_size=n_s, epochs=e_s) for e_s in sorted(epoch_counts)]
-            for n_s in sorted(sizes)]
-    for cfg in chain.from_iterable(grid):
-        cfg.validate(train_size=len(train))
+    grid = []
+    for n_s in sorted(sizes):
+        check_sample_size(n_s, train)
+        grid.append([replace(base_cfg, sample_size=n_s, epochs=e_s)
+                     for e_s in sorted(epoch_counts)])
     rows = []
     best = best_fit = None
     for cfgs in grid:

@@ -14,7 +14,6 @@ Vocabulary layout (disjoint ranges):
     [3K, vocab)   noise tokens
 """
 
-import hashlib
 import json
 from dataclasses import dataclass, field, asdict, replace
 from itertools import chain
@@ -22,10 +21,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_json_lines
+from .errors import ConfigError, DataError, config_digest, read_json_lines
 from .rng import substream
 
 BIAS_TAGS = ("clean", "biased", "anti_biased")
+# the most tokens a split may hold per segment, train_size or test_size times
+# tokens_per_segment: the walk's words, the columns and the file grow with it
+MAX_SPLIT_TOKENS = 2**21
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class SynthConfig:
     bias_proportion: float = 0.9
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_labels < 2:
             raise ConfigError(f"num_labels must be >= 2, got {self.num_labels}")
         if self.train_size <= 0 or self.test_size <= 0:
@@ -54,6 +56,10 @@ class SynthConfig:
             raise ConfigError(f"vocab_size {self.vocab_size} too large: tokens must fit int64")
         if self.tokens_per_segment < 1:
             raise ConfigError("tokens_per_segment must be >= 1")
+        tokens = max(self.train_size, self.test_size) * self.tokens_per_segment
+        if tokens > MAX_SPLIT_TOKENS:
+            raise ConfigError(f"max(train_size, test_size) * tokens_per_segment = {tokens} is "
+                              f"past MAX_SPLIT_TOKENS = {MAX_SPLIT_TOKENS}")
         if not 0.0 <= self.noise_token_rate <= 1.0:
             raise ConfigError("noise_token_rate must be in [0, 1]")
         if not 0.0 <= self.manipulated_fraction <= 1.0:
@@ -64,10 +70,6 @@ class SynthConfig:
     @property
     def noise_range(self):
         return 3 * self.num_labels, self.vocab_size
-
-    def digest(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 class Example(NamedTuple):
@@ -392,7 +394,6 @@ def _draw_examples(cfg: SynthConfig, stream: str, count: int, split: str) -> Col
 
 def gen_dataset(config: SynthConfig) -> Dataset:
     """Generate train_size clean examples; deterministic given config.seed."""
-    config.validate()
     return Dataset(
         examples=_draw_examples(config, "gen", config.train_size, "train"),
         num_labels=config.num_labels,
@@ -436,7 +437,6 @@ def inject_bias(dataset: Dataset, m: float, rho: float, seed: int) -> Dataset:
 
 def make_eval_suite(config: SynthConfig) -> dict:
     """Three test sets: original (no bias tokens), fully biased, fully anti-biased."""
-    config.validate()
     return {
         split: Dataset(
             _draw_examples(config, f"eval_{split}", config.test_size, split),
@@ -453,12 +453,11 @@ def save_dataset(dataset: Dataset, path):
     json.dumps(example._asdict(), sort_keys=True) writes it. The lines are
     formatted from the columns, _BLOCK rows at a time."""
     cfg = dataset.provenance.get("config", {})
-    digest = SynthConfig(**cfg).digest() if cfg else ""
     with open(path, "w", encoding="utf-8") as fh:
         header = {
             "num_labels": dataset.num_labels,
             "vocab_size": dataset.vocab_size,
-            "config_digest": digest,
+            "config_digest": config_digest(cfg) if cfg else "",
             "provenance": dataset.provenance,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")

@@ -32,7 +32,7 @@ class TrainConfig:
     seed: int = 0
     weights_path: str = ""
 
-    def validate(self):
+    def __post_init__(self):
         if self.method not in objectives.METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.eval_every < 1:
@@ -53,7 +53,6 @@ def train_main(train, weights, cfg: TrainConfig, eval_suite=None, teacher=None):
     optional dict of split -> Dataset evaluated every cfg.eval_every steps.
     teacher: frozen Model, required when method == "conf_reg".
     """
-    cfg.validate()
     if not len(train):
         raise DataError("empty training set: no examples to train on")
     K = train.num_labels

@@ -158,6 +158,9 @@ def test_minibatch_step_gathers_rows_like_fancy_indexing(monkeypatch):
 def test_featurizer_rejects_small_dim():
     with pytest.raises(ConfigError):
         Featurizer(vocab_size=V, dim=2 * V)
+    # nor one past the 32-bit pair hash, which no config under MAX_W1_WEIGHTS reaches
+    with pytest.raises(ConfigError, match=r"2\*\*32"):
+        Featurizer(vocab_size=V, dim=2 * V + 2**32)
 
 
 def test_forward_rows_on_simplex(rng):

@@ -269,6 +269,35 @@ def test_shallow_hidden_zero_exits_2(conf, tmp_path):
                 "--out-dir", str(tmp_path), "--quiet", "--set", "shallow.hidden=0") == 2
 
 
+def test_config_rules_hold_where_a_command_overrides_the_value(conf, tmp_path):
+    # a config is checked when a command builds it, also where the command
+    # then replaces the value: the proportion study trains baseline_ce
+    # whatever train.method says, and the grid trains each of grid_epochs
+    # (a grid whose one cell passes with shallow.epochs unset)
+    assert _run("generate", "--config", conf, "--out-dir", str(tmp_path), "--quiet") == 0
+    for argv in (["report", "--kind", "proportion", "--set", "train.method=dro"],
+                 ["shallow", "--grid", "--data", str(tmp_path / "train.jsonl"),
+                  "--set", "shallow.grid_sizes=150", "--set", "shallow.grid_epochs=2",
+                  "--set", "shallow.acc_band=0.0,1.0", "--set", "shallow.high_conf_min=0.0",
+                  "--set", "shallow.epochs=0"]):
+        out = tmp_path / argv[0]
+        assert _run(*argv, "--config", conf, "--out-dir", str(out), "--quiet") == 2
+        assert not out.exists()
+
+
+def test_config_values_past_the_caps_exit_2_before_allocating(conf, tmp_path):
+    # W1 of 130 x 10**12 weights, and a walk over 600 x 10**8 tokens, would
+    # exhaust any memory: each config is refused when its command builds it
+    assert _run("generate", "--config", conf, "--out-dir", str(tmp_path), "--quiet") == 0
+    train = str(tmp_path / "train.jsonl")
+    for argv in (["train", "--data", train, "--set", "train.hidden=1000000000000"],
+                 ["shallow", "--data", train, "--set", "shallow.hidden=1000000000000"],
+                 ["generate", "--set", "data.tokens_per_segment=100000000"]):
+        out = tmp_path / argv[0]
+        assert _run(*argv, "--config", conf, "--out-dir", str(out), "--quiet") == 2
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("grid,setting", [
     (True, "shallow.band_width=-3"),
     (False, "shallow.band_width=-3"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from debias_forge import shallow
-from debias_forge.classifier import Featurizer, Model, ModelParams
+from debias_forge.classifier import MAX_W1_WEIGHTS, Featurizer, Model, ModelParams
 from debias_forge.errors import ConfigError, DataError
 from debias_forge.shallow import (
     BiasWeights, ShallowConfig, ShallowRun, ShallowThresholds, compute_bias_weights,
@@ -36,16 +36,23 @@ def _uniform_model(vocab_size, num_labels, dim=130, hidden=8):
 
 
 def test_config_validation(tiny_train):
-    with pytest.raises(ConfigError):
-        replace(FAST, sample_size=0).validate()
-    with pytest.raises(ConfigError):
-        replace(FAST, sample_size=len(tiny_train)).validate(train_size=len(tiny_train))
-    with pytest.raises(ConfigError):
-        replace(FAST, epochs=0).validate()
-    for bad in [{"batch_size": 0}, {"hidden": 0}, {"learning_rate": 0.0},
-                {"adam_beta2": 1.5}, {"adam_beta2": 1.0}]:
-        with pytest.raises(ConfigError, match=next(iter(bad))):
-            replace(FAST, **bad).validate()
+    # every rule holds for a config built directly and for one replace()d
+    for bad, match in [({"sample_size": 0}, "sample_size"), ({"epochs": 0}, "epochs"),
+                       ({"batch_size": 0}, "batch_size"), ({"hidden": 0}, "hidden"),
+                       ({"learning_rate": 0.0}, "learning_rate"), ({"adam_beta2": 1.5}, "beta2"),
+                       ({"adam_beta2": 1.0}, "beta2"),
+                       ({"hidden": MAX_W1_WEIGHTS // FAST.feature_dim + 1}, "MAX_W1_WEIGHTS")]:
+        with pytest.raises(ConfigError, match=match):
+            ShallowConfig(**{**vars(FAST), **bad})
+        with pytest.raises(ConfigError, match=match):
+            replace(FAST, **bad)
+    # the cap is inclusive; building a config allocates nothing
+    replace(FAST, feature_dim=MAX_W1_WEIGHTS // 64, hidden=64)
+    # the one rule that needs the data, checked before a run starts
+    whole = replace(FAST, sample_size=len(tiny_train))
+    for start in (ShallowRun.start, train_shallow):
+        with pytest.raises(ConfigError, match="smaller than the training set"):
+            start(tiny_train, whole)
 
 
 def test_train_shallow_deterministic(tiny_train):

@@ -10,27 +10,38 @@ from test_classifier import _stacked_featurize
 
 from debias_forge import synthgen
 from debias_forge.classifier import Featurizer
-from debias_forge.errors import ConfigError, DataError
+from debias_forge.errors import ConfigError, DataError, config_digest
 from debias_forge.rng import substream
 from debias_forge.synthgen import (
-    BIAS_TAGS, Dataset, Example, SynthConfig, _round_half_up, gen_dataset,
+    BIAS_TAGS, MAX_SPLIT_TOKENS, Dataset, Example, SynthConfig, _round_half_up, gen_dataset,
     inject_bias, load_dataset, make_eval_suite, save_dataset,
 )
 
 
+# a value that breaks each rule of SynthConfig, with a word of its message
+SYNTH_BREAKS = [
+    ({"num_labels": 1}, "num_labels"), ({"train_size": 0}, "positive"),
+    ({"test_size": -1}, "positive"), ({"num_labels": 3, "vocab_size": 9}, "too small"),
+    ({"vocab_size": 2**63 + 1}, "too large"), ({"tokens_per_segment": 0}, "tokens_per_segment"),
+    ({"train_size": MAX_SPLIT_TOKENS // 8 + 1}, "MAX_SPLIT_TOKENS"),
+    ({"test_size": MAX_SPLIT_TOKENS // 4 + 1, "tokens_per_segment": 4}, "MAX_SPLIT_TOKENS"),
+    ({"tokens_per_segment": MAX_SPLIT_TOKENS}, "MAX_SPLIT_TOKENS"),
+    ({"noise_token_rate": 1.5}, "noise_token_rate"),
+    ({"manipulated_fraction": -0.1}, "manipulated_fraction"),
+    ({"bias_proportion": 1.5}, "bias_proportion"),
+]
+
+
 def test_config_validation_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        SynthConfig(num_labels=1).validate()
-    with pytest.raises(ConfigError):
-        SynthConfig(train_size=0).validate()
-    with pytest.raises(ConfigError):
-        SynthConfig(num_labels=3, vocab_size=9).validate()
-    with pytest.raises(ConfigError, match="too large"):
-        SynthConfig(vocab_size=2**63 + 1).validate()
-    with pytest.raises(ConfigError):
-        SynthConfig(bias_proportion=1.5).validate()
-    with pytest.raises(ConfigError):
-        SynthConfig(manipulated_fraction=-0.1).validate()
+    # every rule holds for a config built directly and for one replace()d
+    for bad, match in SYNTH_BREAKS:
+        with pytest.raises(ConfigError, match=match):
+            SynthConfig(**bad)
+        with pytest.raises(ConfigError, match=match):
+            replace(SynthConfig(), **bad)
+    # the caps are inclusive; building a config allocates nothing
+    SynthConfig(train_size=MAX_SPLIT_TOKENS // 8, test_size=MAX_SPLIT_TOKENS // 8)
+    SynthConfig(train_size=1, test_size=1, tokens_per_segment=MAX_SPLIT_TOKENS)
 
 
 def test_labels_follow_signal_conjunction(tiny_clean, tiny_cfg):
@@ -243,8 +254,25 @@ def test_load_rejects_bad_files(tmp_path):
 def test_digest_stable():
     c1 = SynthConfig(seed=4)
     c2 = SynthConfig(seed=4)
-    assert c1.digest() == c2.digest()
-    assert c1.digest() != SynthConfig(seed=5).digest()
+    assert config_digest(asdict(c1)) == config_digest(asdict(c2))
+    assert config_digest(asdict(c1)) != config_digest(asdict(SynthConfig(seed=5)))
+
+
+def test_saving_a_loaded_set_hashes_its_stored_config(tiny_clean, tiny_cfg, tmp_path):
+    # a stored config that breaks a SynthConfig rule is hashed as it is, not
+    # rebuilt into a SynthConfig
+    path = tmp_path / "a.jsonl"
+    save_dataset(tiny_clean, path)
+    header, *lines = path.read_text().splitlines()
+    head = json.loads(header)
+    assert head["config_digest"] == config_digest(asdict(tiny_cfg))
+    head["provenance"]["config"]["bias_proportion"] = 1.5
+    path.write_text("\n".join([json.dumps(head), *lines]) + "\n")
+    loaded = load_dataset(path)
+    save_dataset(loaded, tmp_path / "b.jsonl")
+    again = json.loads((tmp_path / "b.jsonl").read_text().splitlines()[0])
+    assert again["config_digest"] == config_digest(head["provenance"]["config"])
+    assert again["provenance"] == head["provenance"]
 
 
 # -- bulk generation against the per-example loop it replays -----------------

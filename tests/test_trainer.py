@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import nearest_rank_percentiles
 
-from debias_forge.classifier import Featurizer
+from debias_forge.classifier import MAX_W1_WEIGHTS, Featurizer
 from debias_forge.errors import ConfigError, DataError, SchemaError
 from debias_forge.objectives import AnnealSchedule
 from debias_forge.shallow import BiasWeights, ShallowConfig, compute_bias_weights, train_shallow
@@ -26,17 +26,20 @@ def tiny_weights(tiny_train):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        replace(FAST_TRAIN, method="dro").validate()
-    with pytest.raises(ConfigError):
-        replace(FAST_TRAIN, epochs=0).validate()
-    with pytest.raises(ConfigError):
-        replace(FAST_TRAIN, eval_every=0).validate()
-    for bad in [{"batch_size": 0}, {"hidden": 0}, {"learning_rate": 0.0},
-                {"learning_rate": -1e-3}, {"adam_beta2": 1.0}, {"adam_beta2": -0.1}]:
-        with pytest.raises(ConfigError, match=next(iter(bad))):
-            replace(FAST_TRAIN, **bad).validate()
-    replace(FAST_TRAIN, adam_beta2=0.0).validate()
+    # every rule holds for a config built directly and for one replace()d
+    for bad, match in [({"method": "dro"}, "method"), ({"epochs": 0}, "epochs"),
+                       ({"eval_every": 0}, "eval_every"), ({"batch_size": 0}, "batch_size"),
+                       ({"hidden": 0}, "hidden"), ({"learning_rate": 0.0}, "learning_rate"),
+                       ({"learning_rate": -1e-3}, "learning_rate"), ({"adam_beta2": 1.0}, "beta2"),
+                       ({"adam_beta2": -0.1}, "beta2"),
+                       ({"feature_dim": MAX_W1_WEIGHTS // FAST_TRAIN.hidden + 1},
+                        "MAX_W1_WEIGHTS")]:
+        with pytest.raises(ConfigError, match=match):
+            TrainConfig(**{**vars(FAST_TRAIN), **bad})
+        with pytest.raises(ConfigError, match=match):
+            replace(FAST_TRAIN, **bad)
+    replace(FAST_TRAIN, adam_beta2=0.0)
+    replace(FAST_TRAIN, feature_dim=MAX_W1_WEIGHTS // FAST_TRAIN.hidden)
 
 
 def test_loss_percentiles_oracle(rng):
