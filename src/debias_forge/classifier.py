@@ -15,10 +15,11 @@ matrix() builds the CSR matrix with numpy in blocks of _BLOCK_ROWS rows, which
 bounds its scratch memory, and computes the pair hash in wrapping uint32
 arithmetic, which equals the formula for any vocabulary.
 
-On a sparse batch the W1 gradient is row-sparse: loss_and_grad computes it
-only on the feature rows the batch touches, and opt_step adds its terms to
-those rows alone. Params and optimizer state equal those of the dense update
-bit for bit; Gradients.arrays() gives the dense gradient.
+The model's input is a CSR matrix, and the W1 gradient is row-sparse:
+loss_and_grad computes it only on the feature rows the batch touches, and
+opt_step adds its terms to those rows alone. Params and optimizer state equal
+those of the dense update bit for bit; Gradients.arrays() gives the dense
+gradient.
 """
 
 import json
@@ -156,20 +157,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _as_matrix(X):
-    if sp.issparse(X):
-        return X.tocsr()
-    arr = np.asarray(X, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return arr
-
-
 def _logits(params: ModelParams, X, check_hidden=False):
     """(hidden activations, logits), the hidden layer built in one (n, H)
     array; with check_hidden, NumericError on a non-finite pre-activation,
     checked before the ReLU maps -inf to 0."""
-    h = _as_matrix(X) @ params.W1
+    h = X @ params.W1
     h += params.b1
     if check_hidden and not np.all(np.isfinite(h)):
         raise NumericError("non-finite activations in hidden layer")
@@ -189,12 +181,12 @@ def forward(params: ModelParams, X) -> np.ndarray:
 class Gradients:
     """Gradients of the mean loss. The W1 gradient is row-sparse: W1 holds
     the rows W1_rows (sorted) of the (D, H) gradient, whose other rows are
-    exactly +0.0; W1_rows is slice(None) when W1 holds every row."""
+    exactly +0.0."""
     W1: np.ndarray
     b1: np.ndarray
     W2: np.ndarray
     b2: np.ndarray
-    W1_rows: np.ndarray | slice
+    W1_rows: np.ndarray
     D: int
     clamped: int = 0
 
@@ -206,10 +198,8 @@ class Gradients:
 
     def arrays(self):
         """Dense gradients by name."""
-        W1 = self.W1
-        if not isinstance(self.W1_rows, slice):
-            W1 = np.zeros((self.D, W1.shape[1]))
-            W1[self.W1_rows] = self.W1
+        W1 = np.zeros((self.D, self.W1.shape[1]))
+        W1[self.W1_rows] = self.W1
         return {"W1": W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
 
@@ -229,15 +219,14 @@ def _touched_rows_product(X: sp.csr_matrix, dz1: np.ndarray):
 
 
 def loss_and_grad(params: ModelParams, X, targets, weights, logit_offset=None):
-    """Weighted soft-target cross-entropy over a batch.
+    """Weighted soft-target cross-entropy over a CSR batch X.
 
     loss_i = -weights[i] * sum_j targets[i,j] * log p[i,j], with
     p = softmax(logits + logit_offset). Returns (per-example losses,
     gradients of mean(loss_i)). The optional per-example logit_offset is how
     a fixed log-probability expert is folded into the same gradient path.
-    For sparse X the W1 gradient covers only the rows X touches.
+    The W1 gradient covers only the rows X touches.
     """
-    X = _as_matrix(X)
     n = X.shape[0]
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
@@ -258,10 +247,7 @@ def loss_and_grad(params: ModelParams, X, targets, weights, logit_offset=None):
     dW2 = a1.T @ dlogits
     db2 = dlogits.sum(axis=0)
     dz1 = (dlogits @ params.W2.T) * (a1 > 0)  # a1 > 0 just where the pre-activation is
-    if sp.issparse(X):
-        rows, dW1 = _touched_rows_product(X, dz1)
-    else:
-        rows, dW1 = slice(None), X.T @ dz1
+    rows, dW1 = _touched_rows_product(X, dz1)
     db1 = dz1.sum(axis=0)
     return losses, Gradients(dW1, db1, dW2, db2, rows, X.shape[1], clamped)
 

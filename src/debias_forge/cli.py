@@ -28,12 +28,13 @@ from .errors import (
     ConfigError, DataError, DegenerateShallowError, NumericError, SchemaError, config_digest,
     open_text,
 )
-from .evaluation import accuracy, bias_proportion_study, confidence_histogram, sweep_study
+from .evaluation import (
+    accuracy, bias_proportion_study, confidence_histogram, stability_study, sweep_study,
+)
 from .objectives import AnnealSchedule
 from .shallow import (
-    MAX_UNSEEN, ShallowConfig, ShallowThresholds, compute_bias_weights,
-    grid_search_shallow, load_bias_weights, oracle_band_thresholds,
-    save_bias_weights, stability_study, train_shallow, validate_shallow,
+    MAX_UNSEEN, ShallowConfig, ShallowThresholds, compute_bias_weights, grid_search_shallow,
+    load_bias_weights, oracle_band_thresholds, save_bias_weights, train_shallow, validate_shallow,
 )
 from .synthgen import SynthConfig, gen_dataset, inject_bias, load_dataset, make_eval_suite, save_dataset
 from .trainer import TrainConfig, read_metrics, train_main, train_teacher, write_metrics
@@ -445,7 +446,7 @@ def report_stability(args, run):
     train = load_dataset(run.read(args.data))
     eval_ds = load_dataset(run.read(args.eval)) if args.eval else train
     rows = stability_study(train, config_of(ShallowConfig, run.cfg), run.cfg["report.n_runs"],
-                           eval_ds)
+                           eval_ds, jobs=args.jobs)
     ok = all(r["easy_acc"] > r["hard_acc"] for r in rows
              if not r["degenerate"] and r["easy_n"] and r["hard_n"])
     return rows, {"runs": len(rows), "degenerate_runs": sum(r["degenerate"] for r in rows),
@@ -505,9 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="override every *.seed key (default: DEBIAS_FORGE_SEED)")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for report --kind proportion and sweep (at "
-                             "most one per CPU); every other command, stability included, "
-                             "runs in one process")
+                        help="worker processes for report --kind proportion, sweep and "
+                             "stability (at most one per CPU); every other command runs "
+                             "in one process")
     common.add_argument("--out-dir", default=".", help="output directory")
     common.add_argument("--quiet", action="store_true", help="suppress progress logging")
     common.add_argument("--set", dest="overrides_raw", action="append", default=[],

@@ -1,5 +1,5 @@
 """Evaluation and analysis: split accuracy, confidence histograms, and the
-bias-proportion and annealing studies, whose rows are the same for any `jobs`.
+bias-proportion, annealing and stability studies, whose rows match for any `jobs`.
 """
 
 import math
@@ -8,9 +8,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .classifier import check_model_data
 from .errors import ConfigError, DataError
 from .objectives import AnnealSchedule
-from .shallow import ShallowConfig, compute_bias_weights, train_shallow
+from .shallow import ShallowConfig, compute_bias_weights, train_shallow, validate_shallow
 from .synthgen import SynthConfig, gen_dataset, inject_bias, make_eval_suite
 from .trainer import TrainConfig, train_main, train_teacher
 
@@ -187,3 +188,31 @@ def sweep_study(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainC
                               seeds, jobs)
     summary = _seed_summary(per_seed, ("original", "anti_biased"))
     return [{"value": a, **row, "seeds": len(seeds)} for a, row in zip(a_values, summary)]
+
+
+def stability_seed(runs, train, cfg: ShallowConfig, eval_ds, seed: int):
+    """The stability rows of `runs` for one seed: run r trains seed + 1000 * r."""
+    gold, easy = eval_ds.labels(), eval_ds.oracle_easy()
+    rows = []
+    for run in runs:
+        run_cfg = replace(cfg, seed=seed + 1000 * run)
+        model, subset_ids = train_shallow(train, run_cfg)
+        diag = validate_shallow(model, train.without(subset_ids))
+        row = {"run": run, "seed": run_cfg.seed, "degenerate": diag.degenerate,
+               "unseen_acc": diag.unseen_accuracy}
+        correct = model.predict(eval_ds) == gold
+        for name, part in (("easy", easy), ("hard", ~easy)):
+            row[f"{name}_acc"] = float(np.mean(correct[part])) if part.any() else math.nan
+            row[f"{name}_n"] = int(part.sum())
+        row["overall_acc"] = float(np.mean(correct))
+        rows.append(row)
+    return rows
+
+
+def stability_study(train, cfg: ShallowConfig, n_runs: int, eval_ds, jobs: int = 1) -> list:
+    """Fresh-seed shallow runs on up to `jobs` processes, scored on the
+    bias-oracle easy/hard partition of eval_ds. Returns one row per run."""
+    if n_runs < 2:
+        raise ConfigError("stability study needs n_runs >= 2")
+    check_model_data(eval_ds, train.num_labels, train.vocab_size)  # before any run trains
+    return _fan_out_seeds(stability_seed, range(n_runs), (train, cfg, eval_ds), [cfg.seed], jobs)[0]

@@ -29,24 +29,22 @@ PROB_FLOOR = 1e-12
 @dataclass(frozen=True)
 class AnnealSchedule:
     minimum: float = 1.0
-    total_steps: int = 1
     enabled: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.minimum <= 1.0:
             raise ConfigError(f"anneal minimum must be in [0, 1], got {self.minimum}")
-        if self.total_steps < 1:
-            raise ConfigError("anneal total_steps must be >= 1")
 
 
-def anneal_alpha(t: int, sched: AnnealSchedule) -> float:
-    """Linear decay from 1 at t=0 to sched.minimum at t=total_steps."""
+def anneal_alpha(t: int, sched: AnnealSchedule, total_steps: int) -> float:
+    """Linear decay from 1 at t=0 to sched.minimum at t=total_steps, the
+    planned optimizer steps."""
     if not sched.enabled:
         return 1.0
-    if t > sched.total_steps:
-        logger.warning("anneal step %d beyond total_steps %d; clamping", t, sched.total_steps)
+    if t > total_steps:
+        logger.warning("anneal step %d beyond total_steps %d; clamping", t, total_steps)
         return sched.minimum
-    return 1.0 - t * (1.0 - sched.minimum) / sched.total_steps
+    return 1.0 - t * (1.0 - sched.minimum) / total_steps
 
 
 def anneal_probs(p_b, alpha: float) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Shallow bias-identification model: train on a small random subset for a
 few epochs, score the remaining (unseen) training examples, and support the
-selection grid search and the multi-seed stability study.
+selection grid search.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifier import Featurizer, MinibatchRun, Model, check_model_data, check_run_config
+from .classifier import Featurizer, MinibatchRun, Model, check_run_config
 from .errors import ConfigError, DataError, read_json_lines
 from .rng import substream
 
@@ -240,30 +239,6 @@ def grid_search_shallow(train, sizes, epoch_counts, base_cfg: ShallowConfig = Sh
                 best, best_fit = cfg, (model, diag)
         del unseen  # nor hold its matrix while the next size trains
     return best, rows, best_fit
-
-
-def stability_study(train, cfg: ShallowConfig, n_runs: int, eval_ds):
-    """Fresh-seed shallow runs scored on the bias-oracle easy/hard partition
-    of eval_ds. Returns one row per run."""
-    if n_runs < 2:
-        raise ConfigError("stability study needs n_runs >= 2")
-    check_model_data(eval_ds, train.num_labels, train.vocab_size)  # before any run trains
-    gold = eval_ds.labels()
-    easy = eval_ds.oracle_easy()
-    rows = []
-    for run in range(n_runs):
-        run_cfg = replace(cfg, seed=cfg.seed + 1000 * run)
-        model, subset_ids = train_shallow(train, run_cfg)
-        diag = validate_shallow(model, train.without(subset_ids))
-        row = {"run": run, "seed": run_cfg.seed, "degenerate": diag.degenerate,
-               "unseen_acc": diag.unseen_accuracy}
-        correct = model.predict(eval_ds) == gold
-        for name, part in (("easy", easy), ("hard", ~easy)):
-            row[f"{name}_acc"] = float(np.mean(correct[part])) if part.any() else math.nan
-            row[f"{name}_n"] = int(part.sum())
-        row["overall_acc"] = float(np.mean(correct))
-        rows.append(row)
-    return rows
 
 
 def save_bias_weights(weights: BiasWeights, path):

@@ -77,13 +77,10 @@ def train_main(train, weights, cfg: TrainConfig, eval_suite=None, teacher=None):
 
     run = MinibatchRun(X, K, cfg)
     total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
-    sched = cfg.anneal
-    if sched.enabled and sched.total_steps != total_steps:
-        sched = AnnealSchedule(minimum=sched.minimum, total_steps=total_steps, enabled=True)
 
     metrics = []
     for idx in run.batches(cfg.epochs):
-        alpha = anneal_alpha(run.state.step, sched)
+        alpha = anneal_alpha(run.state.step, cfg.anneal, total_steps)
         targets, w, offset = objectives.build_targets(
             cfg.method, y[idx], K,
             p_b=None if p_b is None else p_b[idx],

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import debias_forge
-from debias_forge import shallow
+from debias_forge import evaluation
 from debias_forge.classifier import Model, load_checkpoint
 from debias_forge.cli import (
     DEFAULTS, _parse_override, config_digest, config_of, main, parse_config_file,
@@ -555,8 +555,8 @@ def test_stability_eval_of_other_label_count_exits_3_before_training(conf, tmp_p
     for out, sets in ((data, []), (k5, ["--set", "data.num_labels=5"])):
         assert _run("generate", "--config", conf, "--out-dir", str(out), *sets,
                     "--seed", "5", "--quiet") == 0
-    calls, train_shallow = [], shallow.train_shallow
-    monkeypatch.setattr(shallow, "train_shallow",
+    calls, train_shallow = [], evaluation.train_shallow
+    monkeypatch.setattr(evaluation, "train_shallow",
                         lambda *args, **kw: calls.append(1) or train_shallow(*args, **kw))
     assert _run("report", "--kind", "stability", "--config", conf,
                 "--data", str(data / "train.jsonl"), "--eval", str(k5 / "eval_original.jsonl"),
@@ -908,13 +908,20 @@ def test_pieces_per_seed(seeds, values, jobs, pieces):
     # one seed on two processes: each seed's values are cut into pieces
     ("proportion", ["report.m_values=0.6,0.9", "report.seeds=3"]),
     ("sweep", ["report.method=conf_reg", "report.a_values=1.0,0.0", "report.seeds=3"]),
+    # the study's one seed: its three runs are cut into two pieces
+    ("stability", ["report.n_runs=3"]),
 ])
 def test_report_study_kinds_same_bytes_for_any_jobs(conf, tmp_path, kind, sets):
+    data = []
+    if kind == "stability":  # a study of a given training set
+        assert _run("generate", "--config", conf, "--out-dir", str(tmp_path / "data"),
+                    "--seed", "5", "--quiet") == 0
+        data = ["--data", str(tmp_path / "data" / "train.jsonl")]
     outs = []
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"
         argv = ["report", "--kind", kind, "--config", conf, "--out-dir", str(out),
-                "--jobs", jobs, "--seed", "5", "--quiet"]
+                "--jobs", jobs, "--seed", "5", "--quiet", *data]
         for s in sets:
             argv += ["--set", s]
         assert _run(*argv) == 0
@@ -923,4 +930,5 @@ def test_report_study_kinds_same_bytes_for_any_jobs(conf, tmp_path, kind, sets):
     assert [n.rsplit(".", 1)[1] for n in names] == ["csv", "json"]
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    assert json.loads((outs[0] / names[1]).read_text())["points"] == 2
+    key, n = ("runs", 3) if kind == "stability" else ("points", 2)
+    assert json.loads((outs[0] / names[1]).read_text())[key] == n

@@ -97,30 +97,28 @@ def test_losses_nonnegative(rng):
 # -- annealing --------------------------------------------------------------
 
 def test_anneal_alpha_affine_endpoints():
-    sched = AnnealSchedule(minimum=0.8, total_steps=1000, enabled=True)
-    assert anneal_alpha(0, sched) == 1.0
-    assert anneal_alpha(1000, sched) == pytest.approx(0.8, abs=1e-15)
-    assert anneal_alpha(500, sched) == pytest.approx(0.9, abs=1e-15)
+    sched = AnnealSchedule(minimum=0.8, enabled=True)
+    assert anneal_alpha(0, sched, 1000) == 1.0
+    assert anneal_alpha(1000, sched, 1000) == pytest.approx(0.8, abs=1e-15)
+    assert anneal_alpha(500, sched, 1000) == pytest.approx(0.9, abs=1e-15)
     # affine: second differences vanish
-    vals = [anneal_alpha(t, sched) for t in range(0, 1001, 100)]
+    vals = [anneal_alpha(t, sched, 1000) for t in range(0, 1001, 100)]
     diffs = np.diff(vals)
     assert np.allclose(diffs, diffs[0], atol=1e-12)
     assert all(d <= 0 for d in diffs)
 
 
 def test_anneal_alpha_disabled_and_clamped(caplog):
-    assert anneal_alpha(123, AnnealSchedule()) == 1.0
-    sched = AnnealSchedule(minimum=0.5, total_steps=10, enabled=True)
+    assert anneal_alpha(123, AnnealSchedule(), 10) == 1.0
+    sched = AnnealSchedule(minimum=0.5, enabled=True)
     with caplog.at_level("WARNING"):
-        assert anneal_alpha(11, sched) == 0.5
+        assert anneal_alpha(11, sched, 10) == 0.5
     assert any("clamp" in r.message for r in caplog.records)
 
 
 def test_anneal_schedule_validation():
     with pytest.raises(ConfigError):
         AnnealSchedule(minimum=1.2)
-    with pytest.raises(ConfigError):
-        AnnealSchedule(total_steps=0)
 
 
 def test_anneal_probs_identity_and_uniform():

@@ -6,11 +6,11 @@ import pytest
 from debias_forge import shallow
 from debias_forge.classifier import MAX_W1_WEIGHTS, Featurizer, Model, ModelParams
 from debias_forge.errors import ConfigError, DataError
+from debias_forge.evaluation import stability_study
 from debias_forge.shallow import (
     BiasWeights, ShallowConfig, ShallowRun, ShallowThresholds, compute_bias_weights,
     grid_search_shallow, load_bias_weights, oracle_achievable_accuracy,
-    oracle_band_thresholds, save_bias_weights, stability_study, train_shallow,
-    validate_shallow,
+    oracle_band_thresholds, save_bias_weights, train_shallow, validate_shallow,
 )
 from debias_forge.synthgen import Columns
 
@@ -257,6 +257,14 @@ def test_stability_study_shapes(tiny_train, tiny_suite):
         assert 0 <= r["overall_acc"] <= 1
     with pytest.raises(ConfigError):
         stability_study(tiny_train, FAST, 1, mixed)
+
+
+def test_stability_study_same_rows_for_any_jobs(tiny_train):
+    # one seed on two processes: the three runs are cut into two pieces
+    eval_ds = replace(tiny_train, examples=tiny_train.examples[:300])
+    rows = stability_study(tiny_train, FAST, 3, eval_ds)
+    assert [r["run"] for r in rows] == [0, 1, 2]
+    assert stability_study(tiny_train, FAST, 3, eval_ds, jobs=2) == rows
 
 
 def test_stability_study_featurizes_eval_ds_once(tiny_train, featurized):

@@ -89,9 +89,6 @@ def _reference_train_main(train, weights, cfg, eval_suite=None, teacher=None):
     opt = _DenseOptimizer(cfg.learning_rate, cfg.optimizer, cfg.adam_beta2)
     shuffle_rng = substream(cfg.seed, "shuffle")
     total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
-    sched = cfg.anneal
-    if sched.enabled:
-        sched = AnnealSchedule(minimum=sched.minimum, total_steps=total_steps, enabled=True)
 
     metrics = []
     step = 0
@@ -99,7 +96,7 @@ def _reference_train_main(train, weights, cfg, eval_suite=None, teacher=None):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            alpha = anneal_alpha(step, sched)
+            alpha = anneal_alpha(step, cfg.anneal, total_steps)
             targets, w, offset = objectives.build_targets(
                 cfg.method, y[idx], K,
                 p_b=None if p_b is None else p_b[idx],
