@@ -15,11 +15,11 @@ matrix() builds the CSR matrix with numpy in blocks of _BLOCK_ROWS rows, which
 bounds its scratch memory, and computes the pair hash in wrapping uint32
 arithmetic, which equals the formula for any vocabulary.
 
-The model's input is a CSR matrix, and the W1 gradient is row-sparse:
-loss_and_grad computes it only on the feature rows the batch touches, and
-opt_step adds its terms to those rows alone. Params and optimizer state equal
-those of the dense update bit for bit; Gradients.arrays() gives the dense
-gradient.
+The model's input is a CSR matrix or a batch's (data, indices, indptr, shape),
+multiplied by the scipy kernels `X @ W` calls. loss_and_grad computes W1's
+gradient on the feature rows the batch touches alone; opt_step adds it there,
+in one pass over the params' one buffer that skips any bias correction rounded
+to 1.0 (x / 1.0 == x). Params and Adam's state equal the dense update's bit for bit.
 """
 
 import json
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import ConfigError, DataError, NumericError, SchemaError, open_text
 from .rng import substream
@@ -116,12 +117,24 @@ class Featurizer:
 # ---------------------------------------------------------------------------
 # parameters
 
+def _views(flat, shapes):
+    """Views of the flat buffer, one of each shape, in turn."""
+    ends = np.cumsum([np.prod(s, dtype=int) for s in shapes])
+    return [flat[end - np.prod(s, dtype=int):end].reshape(s) for s, end in zip(shapes, ends)]
+
+
 @dataclass
 class ModelParams:
+    """W1, b1, W2 and b2: views of one buffer `flat`, in turn; construction copies them in."""
     W1: np.ndarray  # (D, H)
     b1: np.ndarray  # (H,)
     W2: np.ndarray  # (H, K)
     b2: np.ndarray  # (K,)
+
+    def __post_init__(self):
+        arrays = [np.asarray(a, dtype=np.float64) for a in (self.W1, self.b1, self.W2, self.b2)]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self.W1, self.b1, self.W2, self.b2 = _views(self.flat, [a.shape for a in arrays])
 
     @property
     def shape(self):
@@ -129,23 +142,29 @@ class ModelParams:
         return D, H, self.W2.shape[1]
 
     def copy(self):
-        return ModelParams(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
+        return _params_of(self.flat.copy(), *self.shape)
 
     def arrays(self):
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
 
+def _params_of(flat, D: int, H: int, K: int) -> ModelParams:
+    """The ModelParams whose buffer is flat itself, not a copy."""
+    params = object.__new__(ModelParams)
+    params.flat = flat
+    params.W1, params.b1, params.W2, params.b2 = _views(flat, [(D, H), (H,), (H, K), (K,)])
+    return params
+
+
 def init_params(D: int, H: int, K: int, rng: np.random.Generator) -> ModelParams:
     """Symmetric uniform init scaled by fan-in (biases included, which also
-    keeps ReLU pre-activations off the kink for degenerate inputs)."""
-    s1 = 1.0 / np.sqrt(D)
-    s2 = 1.0 / np.sqrt(H)
-    return ModelParams(
-        W1=rng.uniform(-s1, s1, size=(D, H)),
-        b1=rng.uniform(-s1, s1, size=H),
-        W2=rng.uniform(-s2, s2, size=(H, K)),
-        b2=rng.uniform(-s2, s2, size=K),
-    )
+    keeps ReLU pre-activations off the kink for degenerate inputs). The draws
+    follow the buffer: freed below it, W1's would leave a heap hole too small to reuse."""
+    s1, s2 = 1.0 / np.sqrt(D), 1.0 / np.sqrt(H)
+    params = _params_of(np.empty(D * H + H + H * K + K), D, H, K)
+    for arr, s in zip(params.arrays().values(), (s1, s1, s2, s2)):
+        arr[...] = rng.uniform(-s, s, size=arr.shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +176,18 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _csr(X):
+    """(data, indices, indptr, (n, D)) of a CSR matrix, or of a batch given as that tuple."""
+    return X if isinstance(X, tuple) else (X.data, X.indices, X.indptr, X.shape)
+
+
 def _logits(params: ModelParams, X, check_hidden=False):
     """(hidden activations, logits), the hidden layer built in one (n, H)
-    array; with check_hidden, NumericError on a non-finite pre-activation,
-    checked before the ReLU maps -inf to 0."""
-    h = X @ params.W1
+    array by the kernel of `X @ W1`; with check_hidden, NumericError on a
+    non-finite pre-activation, checked before the ReLU maps -inf to 0."""
+    data, indices, indptr, (n, D) = _csr(X)
+    h = np.zeros((n, params.W1.shape[1]))
+    _sparsetools.csr_matvecs(n, D, h.shape[1], indptr, indices, data, params.W1.ravel(), h.ravel())
     h += params.b1
     if check_hidden and not np.all(np.isfinite(h)):
         raise NumericError("non-finite activations in hidden layer")
@@ -190,12 +216,6 @@ class Gradients:
     D: int
     clamped: int = 0
 
-    def indexed(self):
-        """Per name, (gradient, the rows of the parameter it covers)."""
-        every = slice(None)
-        return {"W1": (self.W1, self.W1_rows), "b1": (self.b1, every),
-                "W2": (self.W2, every), "b2": (self.b2, every)}
-
     def arrays(self):
         """Dense gradients by name."""
         W1 = np.zeros((self.D, self.W1.shape[1]))
@@ -203,23 +223,26 @@ class Gradients:
         return {"W1": W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
 
-def _touched_rows_product(X: sp.csr_matrix, dz1: np.ndarray):
+def _touched_rows_product(X, dz1: np.ndarray):
     """(rows, X.T @ dz1 on rows): the sorted feature rows X touches and the
     product on them alone. X.T with its rows renumbered 0..r-1 is summed by
     the same kernel in the same order (batch rows in turn) as the dense
     product, so each row equals the dense product's bit for bit."""
-    cols = X.indices.astype(np.intp)
-    touched = np.zeros(X.shape[1], dtype=bool)
+    data, indices, indptr, (n, D) = _csr(X)
+    cols = indices.astype(np.intp)
+    touched = np.zeros(D, dtype=bool)
     touched[cols] = True
     rows = np.flatnonzero(touched)
-    rank = np.empty(X.shape[1], dtype=X.indices.dtype)
+    rank = np.empty(D, dtype=indices.dtype)
     rank[rows] = np.arange(rows.size, dtype=rank.dtype)
-    Xt = sp.csc_matrix((X.data, rank[cols], X.indptr), shape=(rows.size, X.shape[0]))
-    return rows, Xt @ dz1
+    out = np.zeros((rows.size, dz1.shape[1]))
+    _sparsetools.csc_matvecs(rows.size, n, out.shape[1], indptr, rank[cols], data,
+                             dz1.ravel(), out.ravel())
+    return rows, out
 
 
 def loss_and_grad(params: ModelParams, X, targets, weights, logit_offset=None):
-    """Weighted soft-target cross-entropy over a CSR batch X.
+    """Weighted soft-target cross-entropy over a CSR batch X (see _csr).
 
     loss_i = -weights[i] * sum_j targets[i,j] * log p[i,j], with
     p = softmax(logits + logit_offset). Returns (per-example losses,
@@ -227,7 +250,7 @@ def loss_and_grad(params: ModelParams, X, targets, weights, logit_offset=None):
     a fixed log-probability expert is folded into the same gradient path.
     The W1 gradient covers only the rows X touches.
     """
-    n = X.shape[0]
+    n, D = _csr(X)[3]
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
     if np.any(weights < 0):
@@ -249,7 +272,7 @@ def loss_and_grad(params: ModelParams, X, targets, weights, logit_offset=None):
     dz1 = (dlogits @ params.W2.T) * (a1 > 0)  # a1 > 0 just where the pre-activation is
     rows, dW1 = _touched_rows_product(X, dz1)
     db1 = dz1.sum(axis=0)
-    return losses, Gradients(dW1, db1, dW2, db2, rows, X.shape[1], clamped)
+    return losses, Gradients(dW1, db1, dW2, db2, rows, D, clamped)
 
 
 def grad_check(params: ModelParams, X, targets, weights, eps: float = 1e-5,
@@ -296,9 +319,9 @@ class OptState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
+    m: dict = field(default_factory=dict)  # adam's moments by name: views of flat[0] and flat[1]
     v: dict = field(default_factory=dict)
-    scratch: dict = field(default_factory=dict, repr=False)  # adam work buffers
+    flat: tuple = field(default=(), repr=False)  # adam's m, v and 2 work buffers, like params.flat
 
     def __post_init__(self):
         if self.mode not in ("sgd", "adam"):
@@ -311,53 +334,56 @@ class OptState:
 def opt_step(params: ModelParams, grads: Gradients, state: OptState):
     """One in-place update; returns (params, state). Aborts on non-finite grads.
 
-    The gradient terms go to the rows each gradient covers, and nowhere
-    else; this equals the dense update bit for bit. Elsewhere the dense
-    gradient is +0.0, and adding +0.0 changes no value but -0.0. Neither
-    moment is ever -0.0: both start at +0.0, v never goes negative, and
-    m*beta1 with beta1 > 0.5 rounds no non-zero m to zero.
+    Each pass runs once over params.flat, or Adam's buffers laid out like it;
+    W1's gradient terms go to the rows the batch touched alone. This equals
+    the dense update bit for bit. Elsewhere the dense gradient is +0.0, and
+    adding +0.0 changes no value but -0.0. Neither moment is ever -0.0: both
+    start at +0.0, v never goes negative, and m*beta1 with beta1 > 0.5 rounds
+    no non-zero m to zero. Nor does skipping a bias correction 1 - beta**t
+    that rounds to 1.0 (from t = 356 at beta 0.9) change a bit: x / 1.0 == x.
     """
-    indexed = grads.indexed()
-    for name, (g, _) in indexed.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in {name}; step aborted")
+    g_tail = np.concatenate([grads.b1, grads.W2.ravel(), grads.b2])  # laid out like flat[tail:]
+    if not (np.isfinite(grads.W1).all() and np.isfinite(g_tail).all()):
+        name = next(n for n, g in grads.arrays().items() if not np.isfinite(g).all())
+        raise NumericError(f"non-finite gradient in {name}; step aborted")
     state.step += 1
-    lr = state.learning_rate
-    parrs = params.arrays()
+    lr, rows, tail = state.learning_rate, grads.W1_rows, params.W1.size
     if state.mode == "sgd":
-        for name, (g, rows) in indexed.items():
-            parrs[name][rows] -= lr * g
-    else:
-        t = state.step
-        for name, (g, rows) in indexed.items():
-            p = parrs[name]
-            if name not in state.m:
-                state.m[name] = np.zeros_like(p)
-                state.v[name] = np.zeros_like(p)
-                state.scratch[name] = (np.empty_like(p), np.empty_like(p))
-            m, v = state.m[name], state.v[name]
-            s1, s2 = state.scratch[name]
-            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g (the g terms on
-            # `rows` only) and p -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps),
-            # computed in place in that order: bit-identical results, and no
-            # parameter-sized temporaries, which page-fault on every step
-            # whenever malloc serves them with mmap
-            m *= state.beta1
-            v *= state.beta2
-            gs = s1[:len(g)]  # the terms of g's rows, in s1's first rows
-            np.multiply(g, 1 - state.beta1, out=gs)
-            m[rows] += gs
-            np.multiply(g, 1 - state.beta2, out=gs)
-            gs *= g
-            v[rows] += gs
-            np.divide(m, 1 - state.beta1 ** t, out=s1)
-            s1 *= lr
-            np.divide(v, 1 - state.beta2 ** t, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += state.eps
-            s1 /= s2
-            p -= s1
+        params.W1[rows] -= lr * grads.W1
+        params.flat[tail:] -= lr * g_tail
+        return params, state
+    if not state.flat:
+        state.flat = tuple(np.zeros_like(params.flat) for _ in range(4))
+        state.m, state.v = (_params_of(buf, *params.shape).arrays() for buf in state.flat[:2])
+    m, v, s1, s2 = state.flat
+    # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    # p -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps), computed in place
+    # in that order: bit-identical results, and no parameter-sized
+    # temporaries, which page-fault on every step whenever malloc serves
+    # them with mmap
+    b1, b2, t = state.beta1, state.beta2, state.step
+    m *= b1
+    v *= b2
+    for g, at, m_at, v_at in ((grads.W1, rows, state.m["W1"], state.v["W1"]),
+                              (g_tail, slice(None), m[tail:], v[tail:])):
+        gs = s1[:g.size].reshape(g.shape)  # the terms of g's rows, in s1's head
+        np.multiply(g, 1 - b1, out=gs)
+        m_at[at] += gs
+        np.multiply(g, 1 - b2, out=gs)
+        gs *= g
+        v_at[at] += gs
+    c1, c2 = 1 - b1 ** t, 1 - b2 ** t  # a correction of 1.0 divides by nothing
+    np.multiply(m if c1 == 1.0 else np.divide(m, c1, out=s1), lr, out=s1)
+    np.sqrt(v if c2 == 1.0 else np.divide(v, c2, out=s2), out=s2)
+    s2 += state.eps
+    s1 /= s2
+    params.flat -= s1
     return params, state
+
+
+def _opt_state(cfg):
+    """The OptState a run of cfg trains with; ConfigError for an unknown optimizer."""
+    return OptState(learning_rate=cfg.learning_rate, mode=cfg.optimizer, beta2=cfg.adam_beta2)
 
 
 def check_run_config(cfg):
@@ -373,6 +399,7 @@ def check_run_config(cfg):
     if cfg.feature_dim * cfg.hidden > MAX_W1_WEIGHTS:
         raise ConfigError(f"feature_dim * hidden = {cfg.feature_dim * cfg.hidden} is past "
                           f"MAX_W1_WEIGHTS = {MAX_W1_WEIGHTS}")
+    _opt_state(cfg)
 
 
 class MinibatchRun:
@@ -385,8 +412,7 @@ class MinibatchRun:
     def __init__(self, X, num_labels: int, cfg):
         self.X, self.batch_size = X, cfg.batch_size
         self.params = init_params(X.shape[1], cfg.hidden, num_labels, substream(cfg.seed, "init"))
-        self.state = OptState(learning_rate=cfg.learning_rate, mode=cfg.optimizer,
-                              beta2=cfg.adam_beta2)
+        self.state = _opt_state(cfg)
         self.shuffle_rng = substream(cfg.seed, "shuffle")
         self.epochs = 0
 
@@ -407,8 +433,7 @@ class MinibatchRun:
     def step(self, idx, targets, weights, logit_offset=None):
         """One optimizer step on rows idx; returns (per-example losses, gradients)."""
         at, indptr = ragged_rows(self.X.indptr, idx)  # X[idx], without scipy's fancy indexing
-        X = sp.csr_matrix((self.X.data[at], self.X.indices[at], indptr),
-                          shape=(len(idx), self.X.shape[1]))
+        X = (self.X.data[at], self.X.indices[at], indptr, (len(idx), self.X.shape[1]))
         losses, grads = loss_and_grad(self.params, X, targets, weights, logit_offset)
         if not np.all(np.isfinite(losses)):
             raise NumericError(f"non-finite loss at step {self.state.step}")
@@ -474,12 +499,7 @@ def load_checkpoint(path) -> Model:
     try:
         meta = obj["meta"]
         D, H, K, vocab_size = meta["D"], meta["H"], meta["K"], meta["vocab_size"]
-        params = ModelParams(
-            W1=np.array(obj["W1"], dtype=np.float64),
-            b1=np.array(obj["b1"], dtype=np.float64),
-            W2=np.array(obj["W2"], dtype=np.float64),
-            b2=np.array(obj["b2"], dtype=np.float64),
-        )
+        params = ModelParams(obj["W1"], obj["b1"], obj["W2"], obj["b2"])  # lists to float64
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"{path}: malformed checkpoint: {e}") from e
     if not all(type(v) is int for v in (D, H, K, vocab_size)):

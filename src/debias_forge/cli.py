@@ -443,10 +443,10 @@ def report_proportion(args, run):
 def report_stability(args, run):
     if not args.data:
         raise ConfigError("report kind 'stability' requires --data")
+    s_cfg = config_of(ShallowConfig, run.cfg)
     train = load_dataset(run.read(args.data))
     eval_ds = load_dataset(run.read(args.eval)) if args.eval else train
-    rows = stability_study(train, config_of(ShallowConfig, run.cfg), run.cfg["report.n_runs"],
-                           eval_ds, jobs=args.jobs)
+    rows = stability_study(train, s_cfg, run.cfg["report.n_runs"], eval_ds, jobs=args.jobs)
     ok = all(r["easy_acc"] > r["hard_acc"] for r in rows
              if not r["degenerate"] and r["easy_n"] and r["hard_n"])
     return rows, {"runs": len(rows), "degenerate_runs": sum(r["degenerate"] for r in rows),

@@ -148,10 +148,10 @@ def test_minibatch_step_gathers_rows_like_fancy_indexing(monkeypatch):
     empty = np.flatnonzero(np.diff(X.indptr) == 0)
     for idx in (rng.permutation(60)[:32], empty, empty[:1], np.arange(60), rng.permutation(60)):
         run.step(idx, np.eye(K)[rng.integers(0, K, idx.size)], np.ones(idx.size))
-        got, want = batches[-1], X[idx]
-        assert got.shape == want.shape
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
+        (*got, shape), want = batches[-1], X[idx]  # the batch: (data, indices, indptr, shape)
+        assert shape == want.shape
+        for name, a in zip(("data", "indices", "indptr"), got):
+            b = getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
@@ -293,16 +293,17 @@ def test_touched_rows_product_equals_dense_product(rng):
         assert not full[np.setdiff1d(np.arange(D), rows)].any()
 
 
-@pytest.mark.parametrize("mode,beta2", [("adam", 0.9), ("adam", 0.999), ("sgd", 0.999)])
-def test_row_sparse_step_equals_dense_formula(rng, mode, beta2):
+def _check_steps_against_dense_formula(rng, mode, beta2, first_step=1):
+    """12 steps from step number first_step, each against the dense
+    out-of-place update that always divides by both bias corrections."""
     params = init_params(D, H, K, rng)
-    state = OptState(learning_rate=3e-2, mode=mode, beta2=beta2)
+    state = OptState(learning_rate=3e-2, mode=mode, beta2=beta2, step=first_step - 1)
     b1, eps, lr = state.beta1, state.eps, state.learning_rate
     ref = {n: a.copy() for n, a in params.arrays().items()}
     ref_m = {n: np.zeros_like(a) for n, a in ref.items()}
     ref_v = {n: np.zeros_like(a) for n, a in ref.items()}
     seen, left_out = np.zeros(D, dtype=bool), np.zeros(D, dtype=bool)
-    for t, (X, targets, weights) in enumerate(_csr_batches(rng, 12), start=1):
+    for t, (X, targets, weights) in enumerate(_csr_batches(rng, 12), start=first_step):
         _, grads = loss_and_grad(params, X, targets, weights)
         assert grads.W1.shape[0] < D
         touched = np.zeros(D, dtype=bool)
@@ -323,6 +324,91 @@ def test_row_sparse_step_equals_dense_formula(rng, mode, beta2):
                 assert np.array_equal(state.v[name], ref_v[name]), (t, name)
             assert np.array_equal(params.arrays()[name], ref[name]), (t, name)
     assert not seen[:8].any() and seen[8:].sum() > 20 and left_out.sum() > 10
+
+
+@pytest.mark.parametrize("case", ["one_row", "featureless_rows", "int64", "hidden_1", "wide"])
+def test_kernel_products_equal_scipys_operators(rng, case):
+    n, hidden = {"one_row": (1, H), "hidden_1": (6, 1), "wide": (64, 32)}.get(case, (6, H))
+    dense = rng.integers(0, 3, size=(n, D)) * (rng.random((n, D)) < 0.3)
+    if case == "featureless_rows":
+        dense[[0, 3]] = 0.0
+    X = sp.csr_matrix(dense.astype(np.float64))
+    if case == "int64":  # scipy builds int32 ones where they fit
+        X.indices, X.indptr = X.indices.astype(np.int64), X.indptr.astype(np.int64)
+    params = init_params(D, hidden, K, rng)
+    params.W1[:] = np.abs(params.W1)  # with counts >= 0 and b1 > 0, the ReLU hides nothing
+    params.b1[:] = 1.0
+    dz1 = rng.normal(size=(n, hidden))
+    h_ref = X @ params.W1 + params.b1  # the model's products through scipy's operators
+    logits_ref, prod_ref = h_ref @ params.W2 + params.b2, np.asarray(X.T @ dz1)
+    for given in (X, (X.data, X.indices, X.indptr, X.shape)):  # a CSR matrix and a batch
+        h, logits = classifier._logits(params, given)
+        assert np.array_equal(h, h_ref) and np.array_equal(logits, logits_ref)
+        rows, prod = classifier._touched_rows_product(given, dz1)
+        assert np.array_equal(rows, np.flatnonzero(dense.any(axis=0)))
+        assert np.array_equal(prod, prod_ref[rows])
+
+
+@pytest.mark.parametrize("mode,beta2", [("adam", 0.9), ("adam", 0.999), ("sgd", 0.999)])
+def test_row_sparse_step_equals_dense_formula(rng, mode, beta2):
+    _check_steps_against_dense_formula(rng, mode, beta2)
+
+
+@pytest.mark.parametrize("beta2,first_step", [(0.9, 350), (0.999, 350), (0.999, 37406)])
+def test_steps_past_a_bias_correction_of_one_equal_dense_formula(rng, beta2, first_step):
+    # 1 - 0.9**t rounds to 1.0 from t = 356 on, 1 - 0.999**t from t = 37412:
+    # opt_step skips the division there, the dense formula keeps it
+    for beta in (0.9, beta2):
+        skip_from = 356 if beta == 0.9 else 37412
+        assert 1 - beta ** (skip_from - 1) < 1.0 == 1 - beta ** skip_from
+    _check_steps_against_dense_formula(rng, "adam", beta2, first_step)
+
+
+def _assert_one_buffer(flat, arrays):
+    """The arrays (W1, b1, W2 and b2, or their moments) are views of the
+    flat buffer, in that order, and fill it."""
+    assert flat.dtype == np.float64 and flat.flags.c_contiguous and flat.ndim == 1
+    at = flat.__array_interface__["data"][0]
+    for arr in arrays.values():
+        assert arr.base is flat and arr.__array_interface__["data"][0] == at
+        at += arr.nbytes
+    assert at == flat.__array_interface__["data"][0] + flat.nbytes
+
+
+def test_params_live_in_one_buffer_however_built(rng, tmp_path):
+    arrays = [rng.normal(size=shape) for shape in ((D, H), (H,), (H, K), (K,))]
+    built = ModelParams(*arrays)
+    arrays[0][0, 0] = 7.0  # construction copies: the caller's arrays stay its own
+    assert built.W1[0, 0] != 7.0
+    copied = built.copy()
+    path = tmp_path / "m.ckpt.json"
+    save_checkpoint(Model(built, Featurizer(V, D), K), path)
+    for params in (init_params(D, H, K, rng), built, copied, load_checkpoint(path).params):
+        _assert_one_buffer(params.flat, params.arrays())
+        assert params.shape == (D, H, K)
+    assert not np.shares_memory(built.flat, copied.flat)
+    assert np.array_equal(built.flat, copied.flat)
+    # adam's moments live in buffers laid out like the params
+    state = OptState(learning_rate=0.1, mode="adam")
+    X, targets, weights = _csr_batches(rng, 1)[0]
+    opt_step(built, loss_and_grad(built, X, targets, weights)[1], state)
+    for buf, moments in zip(state.flat, (state.m, state.v)):
+        _assert_one_buffer(buf, moments)
+
+
+def test_continued_run_leaves_earlier_params_unchanged(rng):
+    X = _csr_batches(rng, 1, n=40)[0][0]
+    run = classifier.MinibatchRun(X, K, TrainConfig(hidden=H, feature_dim=D, batch_size=16))
+    targets = np.eye(K)[rng.integers(0, K, 40)]
+    models = []
+    for epochs in (1, 2, 3):
+        for idx in run.batches(epochs):
+            run.step(idx, targets[idx], np.ones(idx.size))
+        models.append((run.params, run.params.flat.copy()))
+    for params, flat in models:
+        _assert_one_buffer(params.flat, params.arrays())
+        assert np.array_equal(params.flat, flat)
+    assert not np.shares_memory(models[0][0].flat, models[1][0].flat)
 
 
 def test_nonfinite_touched_w1_row_aborts_without_update(rng):

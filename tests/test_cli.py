@@ -298,6 +298,21 @@ def test_config_values_past_the_caps_exit_2_before_allocating(conf, tmp_path):
         assert not out.exists()
 
 
+def test_unknown_optimizer_exits_2_before_any_data_is_read(conf, tmp_path, monkeypatch):
+    # each command refuses the value when it builds its config: it reads no
+    # data file, which is missing here, and generates no data set
+    monkeypatch.setattr(evaluation, "gen_dataset", lambda *a, **k: pytest.fail("data generated"))
+    missing = str(tmp_path / "missing.jsonl")
+    for argv in (["train", "--data", missing, "--set", "train.optimizer=bogus"],
+                 ["shallow", "--data", missing, "--set", "shallow.optimizer=bogus"],
+                 ["report", "--kind", "stability", "--data", missing,
+                  "--set", "shallow.optimizer=bogus"],
+                 ["report", "--kind", "proportion", "--set", "train.optimizer=bogus"]):
+        out = tmp_path / "out"
+        assert _run(*argv, "--config", conf, "--out-dir", str(out), "--quiet") == 2
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("grid,setting", [
     (True, "shallow.band_width=-3"),
     (False, "shallow.band_width=-3"),

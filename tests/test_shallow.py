@@ -40,7 +40,7 @@ def test_config_validation(tiny_train):
     for bad, match in [({"sample_size": 0}, "sample_size"), ({"epochs": 0}, "epochs"),
                        ({"batch_size": 0}, "batch_size"), ({"hidden": 0}, "hidden"),
                        ({"learning_rate": 0.0}, "learning_rate"), ({"adam_beta2": 1.5}, "beta2"),
-                       ({"adam_beta2": 1.0}, "beta2"),
+                       ({"adam_beta2": 1.0}, "beta2"), ({"optimizer": "bogus"}, "optimizer"),
                        ({"hidden": MAX_W1_WEIGHTS // FAST.feature_dim + 1}, "MAX_W1_WEIGHTS")]:
         with pytest.raises(ConfigError, match=match):
             ShallowConfig(**{**vars(FAST), **bad})

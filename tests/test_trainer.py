@@ -31,7 +31,7 @@ def test_config_validation():
                        ({"eval_every": 0}, "eval_every"), ({"batch_size": 0}, "batch_size"),
                        ({"hidden": 0}, "hidden"), ({"learning_rate": 0.0}, "learning_rate"),
                        ({"learning_rate": -1e-3}, "learning_rate"), ({"adam_beta2": 1.0}, "beta2"),
-                       ({"adam_beta2": -0.1}, "beta2"),
+                       ({"adam_beta2": -0.1}, "beta2"), ({"optimizer": "bogus"}, "optimizer"),
                        ({"feature_dim": MAX_W1_WEIGHTS // FAST_TRAIN.hidden + 1},
                         "MAX_W1_WEIGHTS")]:
         with pytest.raises(ConfigError, match=match):

@@ -199,3 +199,15 @@ def test_continued_shallow_run_equals_reference_runs(tiny_train):
     _assert_same_model(long, ref_long)
     _assert_same_model(fresh, ref_long)
 
+
+
+def test_shallow_run_past_the_bias_correction_skip_equals_reference(tiny_train):
+    # 60 epochs of 7 batches are 420 steps: at beta1 = adam_beta2 = 0.9 both
+    # bias corrections round to 1.0 from step 356 on, where opt_step skips
+    # the divisions that the reference's dense update keeps
+    cfg = replace(SHALLOW, epochs=60)
+    assert cfg.adam_beta2 == 0.9 and cfg.epochs * math.ceil(cfg.sample_size / cfg.batch_size) > 356
+    model, ids = train_shallow(tiny_train, cfg)
+    ref, ref_ids = _reference_train_shallow(tiny_train, cfg)
+    assert ids == ref_ids
+    _assert_same_model(model, ref)
