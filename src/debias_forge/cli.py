@@ -1,10 +1,13 @@
 """Command-line orchestration: generate -> shallow -> identify -> train ->
 report, driven by a line-oriented key = value config file with dotted
-sections. Each command runs in one `Run`, which resolves the config and its
-digest once and makes the out dir at the first output, so a command that
-refuses its input makes none. Its manifest lists the inputs read and the files
-written, also when the command failed after writing some. Every command is
-byte-deterministic given the same inputs and seed (manifest timestamps excepted).
+sections. One schema: each section is a config dataclass (SECTIONS) whose
+fields are its keys, and a key's default, parsing and type check all come from
+its field; each dataclass checks its values when built. Each command runs in
+one `Run`, which resolves the config and its digest once and makes the out
+dir at the first output, so a command that refuses its input makes none. Its
+manifest lists the inputs read and the files written, also when the command
+failed after writing some. Every command is byte-deterministic given the same
+inputs and seed (manifest timestamps excepted).
 
 Exit codes: 0 success, 2 config error, 3 data/schema error, 4 numeric
 failure, 5 degenerate shallow model.
@@ -18,7 +21,9 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin
 
 import numpy as np
 
@@ -33,61 +38,50 @@ from .evaluation import (
 )
 from .objectives import AnnealSchedule
 from .shallow import (
-    MAX_UNSEEN, ShallowConfig, ShallowThresholds, compute_bias_weights, grid_search_shallow,
-    load_bias_weights, oracle_band_thresholds, save_bias_weights, train_shallow, validate_shallow,
+    MAX_UNSEEN, ShallowConfig, ShallowSelection, compute_bias_weights, grid_search_shallow,
+    load_bias_weights, save_bias_weights, train_shallow, validate_shallow,
 )
 from .synthgen import SynthConfig, gen_dataset, inject_bias, load_dataset, make_eval_suite, save_dataset
 from .trainer import TrainConfig, read_metrics, train_main, train_teacher, write_metrics
 
 logger = logging.getLogger("debias_forge")
 
-# the config section that each config dataclass is read from, field by field;
-# a TrainConfig's anneal schedule comes from the anneal.* keys instead
-SECTIONS = {SynthConfig: "data", ShallowConfig: "shallow", TrainConfig: "train"}
+
+@dataclass(frozen=True)
+class ReportConfig:
+    """The report.* keys; each is checked by the library call that takes it."""
+    method: str = "poe"
+    seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
+    m_values: list[float] = field(default_factory=lambda: [0.6, 0.7, 0.8, 0.9])
+    a_values: list[float] = field(default_factory=lambda: [1.0, 0.8, 0.6, 0.4, 0.2, 0.0])
+    n_runs: int = 10
+    bin_width: float = 0.05
 
 
-def _field_keys(cls) -> dict:
-    """section.name -> field, for each field of cls that has a config key."""
-    return {f"{SECTIONS[cls]}.{f.name}": f for f in fields(cls) if f.name != "anneal"}
+# the config section of each config dataclass, whose fields are its keys; a
+# field whose type is another section's dataclass is built from that section
+SECTIONS = {SynthConfig: "data", ShallowConfig: "shallow", ShallowSelection: "shallow",
+            TrainConfig: "train", AnnealSchedule: "anneal", ReportConfig: "report"}
 
 
-def _field_defaults(cls) -> dict:
-    return {key: f.default for key, f in _field_keys(cls).items()}
-
-
-# every accepted config key with its built-in default: the fields of the
-# config dataclasses, and the keys that no dataclass carries
-DEFAULTS = {
-    **_field_defaults(SynthConfig),
-    **_field_defaults(ShallowConfig),
-    "shallow.grid_sizes": [500, 1000, 1500, 2000],
-    "shallow.grid_epochs": [20, 50, 100],
-    "shallow.acc_band": "oracle",
-    "shallow.band_width": 0.10,
-    "shallow.high_conf_min": 0.90,
-    **_field_defaults(TrainConfig),
-    "anneal.enabled": False,
-    "anneal.a": 1.0,
-    "report.method": "poe",
-    "report.seeds": [1, 2, 3],
-    "report.m_values": [0.6, 0.7, 0.8, 0.9],
-    "report.a_values": [1.0, 0.8, 0.6, 0.4, 0.2, 0.0],
-    "report.n_runs": 10,
-    "report.bin_width": 0.05,
-}
+# every accepted config key, section.name, with its field and its built-in default
+FIELDS = {f"{section}.{f.name}": f for cls, section in SECTIONS.items()
+          for f in fields(cls) if f.type not in SECTIONS}
+DEFAULTS = {key: f.default_factory() if f.default is MISSING else f.default
+            for key, f in FIELDS.items()}
 
 
 # ---------------------------------------------------------------------------
 # config file handling
 
-# the one string-defaulted key whose text is parsed: 'oracle' or two reals
-BAND_KEY = "shallow.acc_band"
+def _as_list(value):
+    return value if isinstance(value, list) else [value]
 
 
 def _parse_value(key: str, text: str):
-    """JSON scalars and comma lists, except that the value of a string key
-    is kept as given (a weights path of 12345 names a file, not a number)."""
-    if isinstance(DEFAULTS.get(key), str) and key != BAND_KEY:
+    """JSON scalars and comma lists, except that the value of a str field is
+    kept as given (a weights path of 12345 names a file, not a number)."""
+    if key in FIELDS and FIELDS[key].type is str:
         return text
     parts = [p.strip() for p in text.split(",")]
     vals = []
@@ -117,63 +111,54 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def _check_key(key: str):
-    if key not in DEFAULTS:
+def _is_type_of(value, tp) -> bool:
+    """list[T] takes one T or a list of them, a fixed-length tuple a list of its
+    length, float a finite int or float; bool, int and str their own type."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is list:
+        return all(_is_type_of(v, args[0]) for v in _as_list(value))
+    if origin is tuple:
+        return (type(value) is list and len(value) == len(args)
+                and all(map(_is_type_of, value, args)))
+    if origin is Literal:
+        return any(type(value) is type(a) and value == a for a in args)
+    if origin in (Union, UnionType):
+        return any(_is_type_of(value, t) for t in args)
+    if tp is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is tp
+
+
+def _check(key: str, value):
+    """ConfigError unless key is a config key and value has its field's type."""
+    if key not in FIELDS:
         hint = difflib.get_close_matches(key, DEFAULTS, n=1)
         suffix = f"; did you mean {hint[0]!r}?" if hint else ""
         raise ConfigError(f"unknown config key {key!r}{suffix} "
                           f"(allowed: {', '.join(sorted(DEFAULTS))})")
-
-
-def _is_type_of(value, default) -> bool:
-    """bool takes bool, int takes int, float takes a finite int or float, str
-    takes str."""
-    if isinstance(default, bool):
-        return type(value) is bool
-    if isinstance(default, int):
-        return type(value) is int
-    if isinstance(default, float):  # finite: no NaN, no inf, no int past a double's range
-        return type(value) in (int, float) and abs(value) <= sys.float_info.max
-    return type(value) is str
-
-
-def _check_value(key: str, value):
-    default = DEFAULTS[key]
-    if key == BAND_KEY:
-        if not (value == "oracle" or (isinstance(value, list) and len(value) == 2
-                                      and all(_is_type_of(v, 0.0) for v in value))):
-            raise ConfigError(f"{BAND_KEY} must be 'oracle' or two comma-separated "
-                              f"reals, got {value!r}")
-        return
-    if isinstance(default, list):
-        ok = all(_is_type_of(v, default[0]) for v in _as_list(value))
-    else:
-        ok = _is_type_of(value, default)
-    if not ok:
-        kind = type(default[0] if isinstance(default, list) else default).__name__
-        many = " or a comma-separated list of them" if isinstance(default, list) else ""
-        raise ConfigError(f"config key {key!r} takes {kind} values{many}, got {value!r}")
+    tp = FIELDS[key].type
+    if not _is_type_of(value, tp):
+        kind = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
+        many = " (one value or a comma-separated list)" if get_origin(tp) is list else ""
+        raise ConfigError(f"config key {key!r} takes {kind}{many}, got {value!r}")
 
 
 def resolve_config(config_path=None, overrides=None, seed=None) -> dict:
     """Defaults, then file, then --set overrides, then --seed / env seed."""
-    cfg = dict(DEFAULTS)
-    explicit_seeds = set()
+    cfg, explicit = dict(DEFAULTS), set()
     from_file = parse_config_file(config_path).items() if config_path else ()
     for key, value in [*from_file, *(overrides or {}).items()]:
-        _check_key(key)
-        _check_value(key, value)
+        _check(key, value)
         cfg[key] = value
-        if key.endswith(".seed"):
-            explicit_seeds.add(key)
-    seed_keys = ("data.seed", "shallow.seed", "train.seed")
+        explicit.add(key)
+    seed_keys = [key for key in DEFAULTS if key.endswith(".seed")]
     if seed is None and os.environ.get("DEBIAS_FORGE_SEED"):
         try:
             seed = int(os.environ["DEBIAS_FORGE_SEED"])
         except ValueError as e:
             raise ConfigError(f"DEBIAS_FORGE_SEED must be an integer: {e}") from e
         # env var is a default only: explicit config keys win
-        seed_keys = [key for key in seed_keys if key not in explicit_seeds]
+        seed_keys = [key for key in seed_keys if key not in explicit]
     if seed is not None:
         for key in seed_keys:
             cfg[key] = seed
@@ -181,28 +166,13 @@ def resolve_config(config_path=None, overrides=None, seed=None) -> dict:
 
 
 def config_of(cls, cfg: dict):
-    """The cls config dataclass with each field read from its config key."""
-    kw = {f.name: cfg[key] for key, f in _field_keys(cls).items()}
-    if cls is TrainConfig:
-        kw["anneal"] = AnnealSchedule(minimum=cfg["anneal.a"], enabled=cfg["anneal.enabled"])
+    """The cls config dataclass with each field read from its config key (a
+    list field's value as a list), or built from its own type's section."""
+    kw = {}
+    for f in fields(cls):
+        value = config_of(f.type, cfg) if f.type in SECTIONS else cfg[f"{SECTIONS[cls]}.{f.name}"]
+        kw[f.name] = _as_list(value) if get_origin(f.type) is list else value
     return cls(**kw)
-
-
-def shallow_thresholds(cfg: dict, dataset) -> ShallowThresholds:
-    """ConfigError on a band that no accuracy can pass; the oracle band's
-    ends may lie outside [0, 1]."""
-    width, high_conf_min, band = (cfg[k] for k in ("shallow.band_width",
-                                                   "shallow.high_conf_min", BAND_KEY))
-    if width < 0:
-        raise ConfigError(f"shallow.band_width must be >= 0, got {width}")
-    if not 0 <= high_conf_min <= 1:
-        raise ConfigError(f"shallow.high_conf_min must lie in [0, 1], got {high_conf_min}")
-    if band != "oracle" and not 0 <= band[0] <= band[1] <= 1:
-        raise ConfigError(f"{BAND_KEY} needs 0 <= lo <= hi <= 1, got {band}")
-    base = ShallowThresholds(high_conf_min=high_conf_min)
-    if band == "oracle":
-        return oracle_band_thresholds(dataset, width=width, base=base)
-    return replace(base, acc_band=(float(band[0]), float(band[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +263,14 @@ def cmd_generate(args, run) -> int:
 
 
 def cmd_shallow(args, run) -> int:
-    cfg = run.cfg
-    s_cfg = config_of(ShallowConfig, cfg)
+    s_cfg = config_of(ShallowConfig, run.cfg)
+    selection = config_of(ShallowSelection, run.cfg)
     train = load_dataset(run.read(args.data))
-    thresholds = shallow_thresholds(cfg, train)
+    thresholds = selection.thresholds(train)
     if args.grid:
         best, rows, best_fit = grid_search_shallow(
-            train, _as_list(cfg["shallow.grid_sizes"]), _as_list(cfg["shallow.grid_epochs"]),
-            base_cfg=s_cfg, thresholds=thresholds,
+            train, selection.grid_sizes, selection.grid_epochs, base_cfg=s_cfg,
+            thresholds=thresholds,
         )
         write_csv(run.output("grid-{}.csv"), rows)
         if best is None:
@@ -424,19 +394,17 @@ def report_histogram(args, run):
 
 
 def report_sweep(args, run):
-    cfg = run.cfg
-    method = cfg["report.method"]
-    rows = sweep_study(_as_list(cfg["report.a_values"]), method, config_of(SynthConfig, cfg),
+    cfg, report = run.cfg, config_of(ReportConfig, run.cfg)
+    rows = sweep_study(report.a_values, report.method, config_of(SynthConfig, cfg),
                        config_of(TrainConfig, cfg), config_of(ShallowConfig, cfg),
-                       _as_list(cfg["report.seeds"]), jobs=args.jobs)
-    return rows, {"method": method, "points": len(rows)}
+                       report.seeds, jobs=args.jobs)
+    return rows, {"method": report.method, "points": len(rows)}
 
 
 def report_proportion(args, run):
-    cfg = run.cfg
-    rows = bias_proportion_study(_as_list(cfg["report.m_values"]), config_of(SynthConfig, cfg),
-                                 config_of(TrainConfig, cfg), _as_list(cfg["report.seeds"]),
-                                 jobs=args.jobs)
+    cfg, report = run.cfg, config_of(ReportConfig, run.cfg)
+    rows = bias_proportion_study(report.m_values, config_of(SynthConfig, cfg),
+                                 config_of(TrainConfig, cfg), report.seeds, jobs=args.jobs)
     return rows, {"points": len(rows)}
 
 
@@ -477,10 +445,6 @@ def cmd_report(args, run) -> int:
                {"digest": run.digest, "kind": args.kind, **summary})
     logger.info("report %s written under %s", args.kind, args.out_dir)
     return 0
-
-
-def _as_list(value):
-    return value if isinstance(value, list) else [value]
 
 
 # ---------------------------------------------------------------------------

@@ -156,21 +156,19 @@ def identify_stage(train, shallow_cfg: ShallowConfig, seed: int):
 def sweep_seed(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainConfig,
                shallow_cfg: ShallowConfig, seed: int):
     """Debiased accuracy on the original and anti-biased splits at each
-    minimum alpha, for one seed.
+    annealing floor a, for one seed.
 
     Data, eval suite, identify stage and conf_reg teacher depend only on the
     seed (train_teacher drops the anneal schedule), so they are built once;
     only the main training runs per a.
     """
-    if method == "baseline_ce":
-        raise ConfigError("anneal sweep requires a debiasing method")
-    schedules = [AnnealSchedule(minimum=a, enabled=True) for a in a_values]
+    run_cfg = replace(train_cfg, method=method, seed=seed)  # before any data is generated
+    schedules = [AnnealSchedule(a=a, enabled=True) for a in a_values]
     cfg = replace(synth_cfg, seed=seed)
     train = inject_bias(gen_dataset(cfg), m=cfg.bias_proportion,
                         rho=cfg.manipulated_fraction, seed=seed)
     suite = make_eval_suite(cfg)
     weights, main_train = identify_stage(train, shallow_cfg, seed)
-    run_cfg = replace(train_cfg, method=method, seed=seed)
     teacher = train_teacher(main_train, run_cfg) if method == "conf_reg" else None
     # as in proportion_seed: train every model, then score them all
     models = [train_main(main_train, weights, replace(run_cfg, anneal=sched), teacher=teacher)[0]
@@ -181,9 +179,13 @@ def sweep_seed(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainCo
 
 def sweep_study(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainConfig,
                 shallow_cfg: ShallowConfig, seeds, jobs: int = 1) -> list:
-    """The anneal sweep over the minimum alpha on up to `jobs` processes; per
-    a, the mean and spread over seeds of the debiased accuracy on the original
-    and anti-biased splits."""
+    """The anneal sweep over the annealing floor a on up to `jobs` processes;
+    per a, the mean and spread over seeds of the debiased accuracy on the
+    original and anti-biased splits."""
+    # baseline_ce, or an unknown method, is refused before the fan-out starts a pool
+    if method == "baseline_ce":
+        raise ConfigError("anneal sweep requires a debiasing method")
+    train_cfg = replace(train_cfg, method=method)
     per_seed = _fan_out_seeds(sweep_seed, a_values, (method, synth_cfg, train_cfg, shallow_cfg),
                               seeds, jobs)
     summary = _seed_summary(per_seed, ("original", "anti_biased"))

@@ -10,7 +10,7 @@ offset) consumed by the classifier's soft-target cross-entropy:
 
 Annealing power-renormalizes the p_b vector with exponent alpha_t before it
 enters any of the objectives; alpha_t decays linearly from 1 to the
-schedule's minimum over the planned optimizer steps.
+schedule's floor `a` over the planned optimizer steps.
 """
 
 import logging
@@ -28,34 +28,34 @@ PROB_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    minimum: float = 1.0
+    """The annealing of p_b; `a` is the paper's annealing floor, the alpha
+    that the schedule reaches at the last planned step."""
     enabled: bool = False
+    a: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.minimum <= 1.0:
-            raise ConfigError(f"anneal minimum must be in [0, 1], got {self.minimum}")
+        if not 0.0 <= self.a <= 1.0:
+            raise ConfigError(f"anneal floor a must be in [0, 1], got {self.a}")
 
 
 def anneal_alpha(t: int, sched: AnnealSchedule, total_steps: int) -> float:
-    """Linear decay from 1 at t=0 to sched.minimum at t=total_steps, the
+    """Linear decay from 1 at t=0 to sched.a at t=total_steps, the
     planned optimizer steps."""
     if not sched.enabled:
         return 1.0
     if t > total_steps:
         logger.warning("anneal step %d beyond total_steps %d; clamping", t, total_steps)
-        return sched.minimum
-    return 1.0 - t * (1.0 - sched.minimum) / total_steps
+        return sched.a
+    return 1.0 - t * (1.0 - sched.a) / total_steps
 
 
 def anneal_probs(p_b, alpha: float) -> np.ndarray:
     """Power-renormalize: p_j^alpha / sum_k p_k^alpha. Rows if p_b is 2-D."""
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    p = np.maximum(np.asarray(p_b, dtype=np.float64), PROB_FLOOR)
     if alpha == 1.0:
-        out = np.asarray(p_b, dtype=np.float64).copy()
-        return out
-    q = p ** alpha
+        return np.array(p_b, dtype=np.float64)
+    q = np.maximum(np.asarray(p_b, dtype=np.float64), PROB_FLOOR) ** alpha
     return q / q.sum(axis=-1, keepdims=True)
 
 

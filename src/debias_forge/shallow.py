@@ -4,6 +4,7 @@ selection grid search.
 """
 
 from dataclasses import dataclass, field, replace
+from typing import Literal
 
 import numpy as np
 
@@ -66,6 +67,35 @@ def oracle_band_thresholds(dataset, width: float = 0.10,
     """Thresholds whose accuracy band straddles bias-only performance."""
     center = oracle_achievable_accuracy(dataset)
     return replace(base, acc_band=(center - width, center + width))
+
+
+@dataclass(frozen=True)
+class ShallowSelection:
+    """The grid of shallow runs, and the accuracy band and confidence floor a
+    run must pass; an `oracle` band is oracle_achievable_accuracy ± band_width."""
+    grid_sizes: list[int] = field(default_factory=lambda: [500, 1000, 1500, 2000])
+    grid_epochs: list[int] = field(default_factory=lambda: [20, 50, 100])
+    acc_band: Literal["oracle"] | tuple[float, float] = "oracle"
+    band_width: float = 0.10
+    high_conf_min: float = 0.90
+
+    def __post_init__(self):
+        """ConfigError on a band that no accuracy can pass; the oracle band's
+        ends may lie outside [0, 1]."""
+        if self.band_width < 0:
+            raise ConfigError(f"shallow.band_width must be >= 0, got {self.band_width}")
+        if not 0 <= self.high_conf_min <= 1:
+            raise ConfigError(f"shallow.high_conf_min must lie in [0, 1], "
+                              f"got {self.high_conf_min}")
+        if self.acc_band != "oracle" and not 0 <= self.acc_band[0] <= self.acc_band[1] <= 1:
+            raise ConfigError(f"shallow.acc_band needs 0 <= lo <= hi <= 1, got {self.acc_band}")
+
+    def thresholds(self, dataset) -> ShallowThresholds:
+        """The selection thresholds, an oracle band centered on dataset's oracle."""
+        base = ShallowThresholds(high_conf_min=self.high_conf_min)
+        if self.acc_band == "oracle":
+            return oracle_band_thresholds(dataset, width=self.band_width, base=base)
+        return replace(base, acc_band=(float(self.acc_band[0]), float(self.acc_band[1])))
 
 
 @dataclass

@@ -124,7 +124,7 @@ def test_c02_objective_neutral_points():
 # -- 3: annealing algebra ----------------------------------------------------
 
 def test_c03_annealing_algebra():
-    sched = AnnealSchedule(minimum=0.4, enabled=True)
+    sched = AnnealSchedule(a=0.4, enabled=True)
     vals = [anneal_alpha(t, sched, 100) for t in range(0, 101, 10)]
     diffs = np.diff(vals)
     ok = vals[0] == 1.0 and abs(vals[-1] - 0.4) < 1e-15

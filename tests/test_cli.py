@@ -12,13 +12,13 @@ import debias_forge
 from debias_forge import evaluation
 from debias_forge.classifier import Model, load_checkpoint
 from debias_forge.cli import (
-    DEFAULTS, _parse_override, config_digest, config_of, main, parse_config_file,
+    DEFAULTS, SECTIONS, _parse_override, config_digest, config_of, main, parse_config_file,
     resolve_config, worker_count,
 )
 from debias_forge.errors import ConfigError
 from debias_forge.evaluation import _pieces_per_seed
-from debias_forge.shallow import ShallowConfig
-from debias_forge.synthgen import SynthConfig, load_dataset
+from debias_forge.objectives import AnnealSchedule
+from debias_forge.synthgen import load_dataset
 from debias_forge.trainer import TrainConfig, read_metrics
 
 
@@ -307,7 +307,8 @@ def test_unknown_optimizer_exits_2_before_any_data_is_read(conf, tmp_path, monke
                  ["shallow", "--data", missing, "--set", "shallow.optimizer=bogus"],
                  ["report", "--kind", "stability", "--data", missing,
                   "--set", "shallow.optimizer=bogus"],
-                 ["report", "--kind", "proportion", "--set", "train.optimizer=bogus"]):
+                 ["report", "--kind", "proportion", "--set", "train.optimizer=bogus"],
+                 ["report", "--kind", "sweep", "--set", "report.method=bogus"]):
         out = tmp_path / "out"
         assert _run(*argv, "--config", conf, "--out-dir", str(out), "--quiet") == 2
         assert not out.exists()
@@ -323,12 +324,15 @@ def test_unknown_optimizer_exits_2_before_any_data_is_read(conf, tmp_path, monke
 def test_empty_shallow_band_exits_2(conf, tmp_path, grid, setting):
     assert _run("generate", "--config", conf, "--out-dir", str(tmp_path), "--quiet") == 0
     out = tmp_path / "shallow"
-    argv = ["shallow", "--config", conf, "--data", str(tmp_path / "train.jsonl"),
-            "--out-dir", str(out), "--quiet", "--set", setting]
-    if grid:
-        argv += ["--grid", "--set", "shallow.grid_sizes=150", "--set", "shallow.grid_epochs=1"]
-    assert _run(*argv) == 2
-    assert not out.exists()  # refused before any training
+    # refused before any training, and before a data file is read: a missing
+    # one exits 2 as well
+    for data in ("train.jsonl", "missing.jsonl"):
+        argv = ["shallow", "--config", conf, "--data", str(tmp_path / data),
+                "--out-dir", str(out), "--quiet", "--set", setting]
+        if grid:
+            argv += ["--grid", "--set", "shallow.grid_sizes=150", "--set", "shallow.grid_epochs=1"]
+        assert _run(*argv) == 2
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("sizes,epochs", [("150,150", "2,2"), ("150,100,150", "2"),
@@ -372,26 +376,41 @@ def test_default_config_is_pinned(monkeypatch):
     # every digest, and with it every artifact name
     monkeypatch.delenv("DEBIAS_FORGE_SEED", raising=False)
     assert len(DEFAULTS) == 42
+    assert sorted(key for _, key, _ in FIELD_KEYS) == sorted(DEFAULTS)  # each key is a field
     assert config_digest(resolve_config(None)) == "7589b92487ecca79"
 
 
-# (config dataclass, config key, field name) of each key read from a dataclass field
-FIELD_KEYS = [(cls, f"{section}.{f.name}", f.name)
-              for cls, section in ((SynthConfig, "data"), (ShallowConfig, "shallow"),
-                                   (TrainConfig, "train"))
-              for f in fields(cls) if f.name != "anneal"]
-STRING_VALUES = {"train.method": "poe", "train.optimizer": "sgd",
-                 "shallow.optimizer": "sgd", "train.weights_path": "w.jsonl"}
+# (config dataclass, config key, field name) of every config key
+FIELD_KEYS = [(cls, f"{section}.{f.name}", f.name) for cls, section in SECTIONS.items()
+              for f in fields(cls) if f.type not in SECTIONS]
+STRING_VALUES = {"train.method": "poe", "train.optimizer": "sgd", "shallow.optimizer": "sgd",
+                 "train.weights_path": "w.jsonl", "report.method": "reweight"}
+
+
+def _settings(key, default):
+    """(--set text, value it builds) of values to set key to: a list key's in
+    its scalar and its list form, and the band as oracle and as two reals."""
+    if key == "shallow.acc_band":
+        return [("oracle", "oracle"), ("0.2,0.8", [0.2, 0.8])]
+    if isinstance(default, list):
+        return [(str(default[0]), default[:1]), (",".join(map(str, default[:2])), default[:2])]
+    if isinstance(default, str):
+        return [(STRING_VALUES[key], STRING_VALUES[key])]
+    if isinstance(default, bool):
+        return [(str(not default).lower(), not default)]
+    value = default / 2 if isinstance(default, float) else default + 1
+    return [(str(value), value)]
 
 
 @pytest.mark.parametrize("cls,key,name", FIELD_KEYS, ids=[k for _, k, _ in FIELD_KEYS])
 def test_set_reaches_its_dataclass_field(cls, key, name):
-    default = DEFAULTS[key]
-    value = (STRING_VALUES[key] if isinstance(default, str)
-             else default / 2 if isinstance(default, float) else default + 1)
-    built = config_of(cls, resolve_config(None, dict([_parse_override(f"{key}={value}")])))
-    assert type(getattr(built, name)) is type(default)
-    assert built == replace(config_of(cls, resolve_config(None)), **{name: value})
+    for text, value in _settings(key, DEFAULTS[key]):
+        cfg = resolve_config(None, dict([_parse_override(f"{key}={text}")]))
+        built = config_of(cls, cfg)
+        assert repr(getattr(built, name)) == repr(value)  # of the same types, too
+        assert built == replace(config_of(cls, resolve_config(None)), **{name: value})
+        if cls is AnnealSchedule:  # the section of TrainConfig.anneal
+            assert config_of(TrainConfig, cfg).anneal == built
 
 
 def test_readme_names_every_config_key():

@@ -207,7 +207,7 @@ def test_anneal_sweep_equals_naive_loop(tiny_cfg):
             suite = make_eval_suite(cfg)
             weights, main_train = identify_stage(train, TINY_SHALLOW, seed)
             run_cfg = replace(TINY_TRAIN, method="conf_reg", seed=seed,
-                              anneal=AnnealSchedule(minimum=a, enabled=True))
+                              anneal=AnnealSchedule(a=a, enabled=True))
             teacher = train_teacher(main_train, run_cfg)
             model, _ = train_main(main_train, weights, run_cfg, teacher=teacher)
             orig.append(accuracy(model, suite["original"]))

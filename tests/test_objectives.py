@@ -97,7 +97,7 @@ def test_losses_nonnegative(rng):
 # -- annealing --------------------------------------------------------------
 
 def test_anneal_alpha_affine_endpoints():
-    sched = AnnealSchedule(minimum=0.8, enabled=True)
+    sched = AnnealSchedule(a=0.8, enabled=True)
     assert anneal_alpha(0, sched, 1000) == 1.0
     assert anneal_alpha(1000, sched, 1000) == pytest.approx(0.8, abs=1e-15)
     assert anneal_alpha(500, sched, 1000) == pytest.approx(0.9, abs=1e-15)
@@ -110,7 +110,7 @@ def test_anneal_alpha_affine_endpoints():
 
 def test_anneal_alpha_disabled_and_clamped(caplog):
     assert anneal_alpha(123, AnnealSchedule(), 10) == 1.0
-    sched = AnnealSchedule(minimum=0.5, enabled=True)
+    sched = AnnealSchedule(a=0.5, enabled=True)
     with caplog.at_level("WARNING"):
         assert anneal_alpha(11, sched, 10) == 0.5
     assert any("clamp" in r.message for r in caplog.records)
@@ -118,7 +118,7 @@ def test_anneal_alpha_disabled_and_clamped(caplog):
 
 def test_anneal_schedule_validation():
     with pytest.raises(ConfigError):
-        AnnealSchedule(minimum=1.2)
+        AnnealSchedule(a=1.2)
 
 
 def test_anneal_probs_identity_and_uniform():

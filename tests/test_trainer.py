@@ -132,7 +132,7 @@ def test_uniform_pb_reweight_matches_constant_weight_baseline(tiny_train):
 
 
 def test_poe_anneal_to_zero_ends_at_baseline_objective(tiny_train, tiny_weights):
-    sched = AnnealSchedule(minimum=0.0, enabled=True)
+    sched = AnnealSchedule(a=0.0, enabled=True)
     cfg = replace(FAST_TRAIN, method="poe", anneal=sched)
     _, log = train_main(tiny_train, tiny_weights, cfg)
     alphas = [r["alpha"] for r in log]

@@ -166,7 +166,7 @@ def test_train_main_equals_reference_loop(tiny_train, tiny_suite, reference_stag
     weights, teacher = reference_stage
     cfg = replace(TRAIN, method=method)
     if method == "poe":
-        cfg = replace(cfg, anneal=AnnealSchedule(minimum=0.2, enabled=True))
+        cfg = replace(cfg, anneal=AnnealSchedule(a=0.2, enabled=True))
     weights = None if method == "baseline_ce" else weights
     teacher = teacher if method == "conf_reg" else None
     model, metrics = train_main(tiny_train, weights, cfg, eval_suite=tiny_suite, teacher=teacher)
