@@ -31,7 +31,7 @@ from scipy.sparse import _sparsetools
 
 from .errors import ConfigError, DataError, NumericError, SchemaError, open_text
 from .rng import substream
-from .synthgen import Columns, ragged_rows
+from .synthgen import _BLOCK, Columns, ragged_rows
 
 LOG_EPS = 1e-12
 # rows featurized per numpy block in Featurizer.matrix
@@ -41,6 +41,9 @@ _HASH_MUL = np.uint32(2_654_435_761)
 # the most first-layer weights, feature_dim * hidden, that a run may train:
 # W1 and each of its Adam moments take 32 MB at the cap, its checkpoint ~100 MB
 MAX_W1_WEIGHTS = 2**22
+# the most hidden units: scoring builds one (n, hidden) float64 array, 164 MB for the
+# default 20k training set at the cap
+MAX_HIDDEN = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +402,8 @@ def check_run_config(cfg):
     if cfg.feature_dim * cfg.hidden > MAX_W1_WEIGHTS:
         raise ConfigError(f"feature_dim * hidden = {cfg.feature_dim * cfg.hidden} is past "
                           f"MAX_W1_WEIGHTS = {MAX_W1_WEIGHTS}")
+    if cfg.hidden > MAX_HIDDEN:
+        raise ConfigError(f"hidden {cfg.hidden} is past MAX_HIDDEN = {MAX_HIDDEN}")
     _opt_state(cfg)
 
 
@@ -469,25 +474,53 @@ class Model:
 
 
 def save_checkpoint(model: Model, path, step: int = 0, config_digest: str = ""):
+    """Write the bytes of json.dumps({"meta": ..., "W1": ..., "b1": ...,
+    "W2": ..., "b2": ...}): the meta object, then W1 in blocks of whole rows
+    of about _BLOCK weights, so that neither W1 as lists nor the whole text
+    is built at once."""
     D, H, K = model.params.shape
-    obj = {
-        "meta": {
-            "D": D,
-            "H": H,
-            "K": K,
-            "step": step,
-            "config_digest": config_digest,
-            "vocab_size": model.featurizer.vocab_size,
-            **model.meta,
-        },
-        "W1": model.params.W1.tolist(),
-        "b1": model.params.b1.tolist(),
-        "W2": model.params.W2.tolist(),
-        "b2": model.params.b2.tolist(),
+    meta = {
+        "D": D,
+        "H": H,
+        "K": K,
+        "step": step,
+        "config_digest": config_digest,
+        "vocab_size": model.featurizer.vocab_size,
+        **model.meta,
     }
+    p = model.params
     # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj))
+        fh.write(json.dumps({"meta": meta})[:-1] + ', "W1": [')
+        rows = max(1, _BLOCK // max(H, 1))
+        for start in range(0, D, rows):
+            fh.write((", " if start else "") + json.dumps(p.W1[start:start + rows].tolist())[1:-1])
+        fh.write("], " + json.dumps({"b1": p.b1.tolist(), "W2": p.W2.tolist(),
+                                     "b2": p.b2.tolist()})[1:])
+
+
+def _has_shape(values, shape) -> bool:
+    """Whether values is a list of shape[0] items, each a list of shape[1] for a 2-D shape."""
+    if type(values) is not list or len(values) != shape[0]:
+        return False
+    return len(shape) == 1 or all(type(row) is list and len(row) == shape[1] for row in values)
+
+
+def _params_of_lists(lists, D, H, K) -> ModelParams:
+    """The ModelParams of a checkpoint's W1, b1, W2 and b2 lists. Lists of
+    meta's shapes (D, H and K integers >= 1) fill one buffer in place, with
+    no array of their own; any others, or values numpy cannot take, go to
+    ModelParams, whose conversion and shapes the errors name."""
+    shapes = [(D, H), (H,), (H, K), (K,)]
+    if all(type(n) is int and n >= 1 for n in (D, H, K)) and all(map(_has_shape, lists, shapes)):
+        params = _params_of(np.empty(D * H + H + H * K + K), D, H, K)
+        try:
+            for arr, values in zip(params.arrays().values(), lists):
+                arr[...] = values  # numpy writes a list of arr's shape straight into arr
+            return params
+        except (TypeError, ValueError):
+            pass
+    return ModelParams(*lists)  # lists to float64
 
 
 def load_checkpoint(path) -> Model:
@@ -499,8 +532,8 @@ def load_checkpoint(path) -> Model:
     try:
         meta = obj["meta"]
         D, H, K, vocab_size = meta["D"], meta["H"], meta["K"], meta["vocab_size"]
-        params = ModelParams(obj["W1"], obj["b1"], obj["W2"], obj["b2"])  # lists to float64
-    except (KeyError, TypeError, ValueError) as e:
+        params = _params_of_lists([obj["W1"], obj["b1"], obj["W2"], obj["b2"]], D, H, K)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # an int past a double
         raise SchemaError(f"{path}: malformed checkpoint: {e}") from e
     if not all(type(v) is int for v in (D, H, K, vocab_size)):
         raise SchemaError(f"{path}: meta D, H, K and vocab_size must be integers, "

@@ -119,8 +119,6 @@ def proportion_seed(m_values, synth_cfg: SynthConfig, train_cfg: TrainConfig, se
     The clean training set and the eval suite do not depend on m, so they are
     generated once; only the bias injection and the training run per m.
     """
-    if any(not 0.0 <= m <= 1.0 for m in m_values):
-        raise ConfigError("m values must lie in [0, 1]")
     cfg = replace(synth_cfg, seed=seed)
     clean = gen_dataset(cfg)
     suite = make_eval_suite(cfg)
@@ -136,6 +134,8 @@ def bias_proportion_study(m_values, synth_cfg: SynthConfig, train_cfg: TrainConf
                           jobs: int = 1) -> list:
     """Baseline training per (m, seed) on up to `jobs` processes; per m, the
     mean and spread over seeds of the final accuracy on every split."""
+    if any(not 0.0 <= m <= 1.0 for m in m_values):  # before the fan-out starts a pool
+        raise ConfigError("m values must lie in [0, 1]")
     per_seed = _fan_out_seeds(proportion_seed, m_values, (synth_cfg, train_cfg), seeds, jobs)
     summary = _seed_summary(per_seed, ("original", "biased", "anti_biased"))
     return [{"m": m, "seeds": len(seeds), **row} for m, row in zip(m_values, summary)]
@@ -153,17 +153,16 @@ def identify_stage(train, shallow_cfg: ShallowConfig, seed: int):
     return compute_bias_weights(shallow_model, main_train), main_train
 
 
-def sweep_seed(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainConfig,
+def sweep_seed(schedules, method: str, synth_cfg: SynthConfig, train_cfg: TrainConfig,
                shallow_cfg: ShallowConfig, seed: int):
-    """Debiased accuracy on the original and anti-biased splits at each
-    annealing floor a, for one seed.
+    """Debiased accuracy on the original and anti-biased splits under each
+    AnnealSchedule, for one seed.
 
     Data, eval suite, identify stage and conf_reg teacher depend only on the
     seed (train_teacher drops the anneal schedule), so they are built once;
-    only the main training runs per a.
+    only the main training runs per schedule.
     """
     run_cfg = replace(train_cfg, method=method, seed=seed)  # before any data is generated
-    schedules = [AnnealSchedule(a=a, enabled=True) for a in a_values]
     cfg = replace(synth_cfg, seed=seed)
     train = inject_bias(gen_dataset(cfg), m=cfg.bias_proportion,
                         rho=cfg.manipulated_fraction, seed=seed)
@@ -182,11 +181,13 @@ def sweep_study(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainC
     """The anneal sweep over the annealing floor a on up to `jobs` processes;
     per a, the mean and spread over seeds of the debiased accuracy on the
     original and anti-biased splits."""
-    # baseline_ce, or an unknown method, is refused before the fan-out starts a pool
+    # baseline_ce, an unknown method or a floor outside [0, 1] is refused
+    # before the fan-out starts a pool
     if method == "baseline_ce":
         raise ConfigError("anneal sweep requires a debiasing method")
     train_cfg = replace(train_cfg, method=method)
-    per_seed = _fan_out_seeds(sweep_seed, a_values, (method, synth_cfg, train_cfg, shallow_cfg),
+    schedules = [AnnealSchedule(a=a, enabled=True) for a in a_values]
+    per_seed = _fan_out_seeds(sweep_seed, schedules, (method, synth_cfg, train_cfg, shallow_cfg),
                               seeds, jobs)
     summary = _seed_summary(per_seed, ("original", "anti_biased"))
     return [{"value": a, **row, "seeds": len(seeds)} for a, row in zip(a_values, summary)]

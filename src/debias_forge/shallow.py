@@ -4,6 +4,8 @@ selection grid search.
 """
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import itemgetter
 from typing import Literal
 
 import numpy as np
@@ -11,6 +13,7 @@ import numpy as np
 from .classifier import Featurizer, MinibatchRun, Model, check_run_config
 from .errors import ConfigError, DataError, read_json_lines
 from .rng import substream
+from .synthgen import first_broken, int64s, read_blocks, repeats
 
 # unseen examples that score a shallow model's diagnosis
 MAX_UNSEEN = 5000
@@ -282,40 +285,58 @@ def save_bias_weights(weights: BiasWeights, path):
 
 
 def load_bias_weights(path, num_labels: int) -> BiasWeights:
-    """Read a weights file; every record needs an integer id in the int64
-    range, a p_b of num_labels probabilities in [0, 1] summing to 1, a
-    p_b_correct in [0, 1] and a predicted label in [0, num_labels)."""
-    ids, p_b, p_correct, predicted, seen = [], [], [], [], set()
-    for lineno, rec in read_json_lines(path):
-        try:
-            ex_id, p, c, k = rec["id"], rec["p_b"], rec["p_b_correct"], rec["predicted"]
-        except (KeyError, TypeError) as e:
-            raise DataError(f"{path}:{lineno}: malformed weights record: {e!r}") from e
-        if type(ex_id) is not int:
-            raise DataError(f"{path}:{lineno}: id must be an integer, got {ex_id!r}")
-        if not -2**63 <= ex_id < 2**63:
-            raise DataError(f"{path}:{lineno}: id {ex_id} outside the int64 range "
-                            f"[-2**63, 2**63)")
-        if not isinstance(p, list) or len(p) != num_labels:
-            raise DataError(f"{path}:{lineno}: p_b length != num_labels {num_labels}")
-        if not (all(type(q) in (int, float) and 0.0 <= q <= 1.0 for q in p)
-                and abs(sum(p) - 1.0) <= 1e-6):
-            raise DataError(f"{path}:{lineno}: p_b must be probabilities in [0, 1] "
-                            f"summing to 1, got {p}")
-        if not (type(c) in (int, float) and 0.0 <= c <= 1.0):
-            raise DataError(f"{path}:{lineno}: p_b_correct must be a probability in "
-                            f"[0, 1], got {c!r}")
-        if not (type(k) is int and 0 <= k < num_labels):
-            raise DataError(f"{path}:{lineno}: predicted must be a label in "
-                            f"[0, {num_labels}), got {k!r}")
-        if ex_id in seen:
-            raise DataError(f"{path}:{lineno}: duplicate id {ex_id}")
-        seen.add(ex_id)
-        ids.append(ex_id)
-        p_b += p
-        p_correct.append(c)
-        predicted.append(k)
-    ids = np.array(ids, np.int64)
+    """Read a weights file, _BLOCK lines at a time (synthgen.read_blocks);
+    every record needs an integer id in the int64 range, a p_b of
+    num_labels probabilities in [0, 1] summing to 1, a p_b_correct in
+    [0, 1] and a predicted label in [0, num_labels)."""
+    seen = set()
+    ids, p_b, p_correct, predicted = read_blocks(
+        path, read_json_lines(path), itemgetter("id", "p_b", "p_b_correct", "predicted"),
+        "weights record", lambda lines: _check_weights(path, lines, num_labels, seen))
     order = np.argsort(ids)
-    return BiasWeights(ids[order], np.array(p_b, np.float64).reshape(-1, num_labels)[order],
-                       np.array(p_correct, np.float64)[order], np.array(predicted, np.int64)[order])
+    return BiasWeights(ids[order], p_b[order], p_correct[order], predicted[order])
+
+
+def _check_weights(path, rows, K: int, seen):
+    """The packed columns of a block of weights lines: ids, (n, K) p_b,
+    p_b_correct and predicted. Each rule is checked on every line
+    (first_broken), an id against the lines before and the set `seen` of
+    the earlier blocks' ids, which the block's ids then join."""
+    lines, ids, ps, cs, ks = zip(*rows) if rows else [()] * 5
+    n = len(lines)
+    id_col, id_ok = int64s(ids, -2**63, 2**63)
+    shaped = np.fromiter((isinstance(p, list) and len(p) == K for p in ps), bool, n)
+    # the p_b of the other lines break an earlier rule
+    good = [p for p, ok in zip(ps, shaped.tolist()) if ok]
+    flat, flat_ok = _probabilities(list(chain.from_iterable(good)))
+    probs_ok = np.zeros(n, bool)
+    probs_ok[shaped] = flat_ok.reshape(len(good), K).all(axis=1)
+    # Python's sum(), as the per-record rule adds, on the lines whose p_b it can add
+    sums = np.array([sum(p) if ok else 1.0 for p, ok in zip(ps, probs_ok.tolist())], np.float64)
+    c_col, c_ok = _probabilities(cs)
+    k_col, k_ok = int64s(ks, 0, K)
+    checks = [
+        (np.array([type(i) is not int for i in ids], bool), "id must be an integer, got {id!r}"),
+        (~id_ok, "id {id} outside the int64 range [-2**63, 2**63)"),
+        (~shaped, "p_b length != num_labels {K}"),
+        (~probs_ok | ~(np.abs(sums - 1.0) <= 1e-6),
+         "p_b must be probabilities in [0, 1] summing to 1, got {p}"),
+        (~c_ok, "p_b_correct must be a probability in [0, 1], got {c!r}"),
+        (~k_ok, "predicted must be a label in [0, {K}), got {k!r}"),
+        (repeats(id_col, seen), "duplicate id {id}"),
+    ]
+    first_broken(path, lines, checks, lambda i: dict(id=ids[i], p=ps[i], c=cs[i], k=ks[i], K=K))
+    seen.update(id_col.tolist())
+    return id_col, flat.reshape(n, K), c_col, k_col  # no line broke a rule: good is every p_b
+
+
+def _probabilities(values):
+    """(column, ok): values as a float64 array, and where they are ints or
+    floats in [0, 1]; the column reads 0 elsewhere."""
+    if set(map(type, values)) <= {int, float}:  # the common case: range-check in numpy
+        column = np.array(values, np.float64)
+        ok = (0.0 <= column) & (column <= 1.0)
+        return np.where(ok, column, 0.0), ok
+    ok = np.fromiter((type(v) in (int, float) and 0.0 <= v <= 1.0 for v in values), bool,
+                     len(values))
+    return np.array([v if k else 0.0 for v, k in zip(values, ok)], np.float64), ok

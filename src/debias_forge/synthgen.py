@@ -16,7 +16,7 @@ Vocabulary layout (disjoint ranges):
 
 import json
 from dataclasses import dataclass, field, asdict, replace
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -477,6 +477,8 @@ def save_dataset(dataset: Dataset, path):
 
 
 def load_dataset(path) -> Dataset:
+    """The Dataset of a save_dataset file, read, checked and packed into
+    columns _BLOCK lines at a time (read_blocks)."""
     records = read_json_lines(path)
     lineno, header = next(records, (None, None))
     if lineno is None:
@@ -496,65 +498,108 @@ def load_dataset(path) -> Dataset:
     if vocab > 2**63:
         raise DataError(f"{path}: header 'vocab_size' must be at most 2**63, so that tokens "
                         f"fit int64, got {vocab}")
-    K, malformed = header["num_labels"], None
-    columns = lines, ids, seg_a, seg_b, labels, tags, tokens = [[] for _ in range(7)]
-    try:
-        for lineno, rec in records:
-            a, b = rec["segment_a"], rec["segment_b"]
-            if type(a) is not list or type(b) is not list:
-                raise TypeError(f"segment_a and segment_b must be lists, got {a!r:.30}, {b!r:.30}")
-            # every field is looked up before any column grows
-            for column, value in zip(columns, (lineno, rec["id"], a, b, rec["label"],
-                                               rec["bias_tag"], rec["bias_token"])):
-                column.append(value)
-    except (KeyError, TypeError) as e:
-        malformed = DataError(f"{path}:{lineno}: malformed example: {e!r}")
-    except DataError as e:  # a line read_json_lines refuses
-        malformed = e
-    # the lines before a malformed one are checked as a whole, each rule on
-    # every line; the first line that breaks one reports the first it breaks
+    K, seen = header["num_labels"], set()
+    ids, labels, tags, tokens, toks_a, len_a, toks_b, len_b = read_blocks(
+        path, records, _example_fields, "example",
+        lambda lines: _check_examples(path, lines, K, vocab, seen))
+    segments = (toks_a, _offsets(len_a)), (toks_b, _offsets(len_b))
+    return Dataset(Columns(ids, labels, tags, tokens, segments), K, vocab,
+                   header.get("provenance", {}))
+
+
+def read_blocks(path, records, fields, what: str, check) -> list:
+    """The columns that check packs from each block of _BLOCK records of
+    read_json_lines, concatenated; no more than a block of parsed lines is
+    held at once. A block's lines are (line number, *fields(record)) tuples.
+    A record that fields() fails with KeyError or TypeError is a malformed
+    `what` and ends its block, as does a line read_json_lines refuses; the
+    lines before it are checked first. check(lines) raises DataError for
+    the first line that breaks a rule."""
+    blocks = []
+    while True:
+        rows, malformed = [], None
+        try:
+            for lineno, rec in islice(records, _BLOCK):
+                rows.append((lineno, *fields(rec)))
+        except (KeyError, TypeError) as e:
+            malformed = DataError(f"{path}:{lineno}: malformed {what}: {e!r}")
+        except DataError as e:  # a line read_json_lines refuses
+            malformed = e
+        blocks.append(check(rows))
+        if malformed:
+            raise malformed
+        if len(rows) < _BLOCK:
+            return [np.concatenate(column) for column in zip(*blocks)]
+
+
+def _example_fields(rec):
+    a, b = rec["segment_a"], rec["segment_b"]
+    if type(a) is not list or type(b) is not list:
+        raise TypeError(f"segment_a and segment_b must be lists, got {a!r:.30}, {b!r:.30}")
+    return rec["id"], a, b, rec["label"], rec["bias_tag"], rec["bias_token"]
+
+
+def _check_examples(path, rows, K: int, vocab: int, seen):
+    """The packed columns of a block of example lines: ids, labels, tags,
+    bias tokens (-1 for none) and per segment its flat tokens and each
+    row's length. Each rule is checked on every line (first_broken), an id
+    against the lines before and the set `seen` of the earlier blocks'
+    ids, which the block's ids then join."""
+    lines, ids, seg_a, seg_b, labels, tags, tokens = zip(*rows) if rows else [()] * 7
     tag_col = np.array([BIAS_TAGS.index(t) if type(t) is str and t in BIAS_TAGS else -1
                         for t in tags], np.int8)
     (label_col, label_ok), (id_col, id_ok), (token_col, token_ok) = (
-        _int64s(labels, 0, K), _int64s(ids, -2**63, 2**63), _int64s(tokens, 0, vocab))
+        int64s(labels, 0, K), int64s(ids, -2**63, 2**63), int64s(tokens, 0, vocab))
     segments, bad_tokens = [], []
     for segs in (seg_a, seg_b):
-        toks, ok = _int64s(list(chain.from_iterable(segs)), 0, vocab)
-        segments.append((toks, _offsets(list(map(len, segs)))))
-        bad_tokens.append(np.diff(_offsets(~ok)[segments[-1][1]]) > 0)
-    repeated = np.ones(len(ids), bool)
-    repeated[np.unique(id_col, return_index=True)[1]] = False
+        toks, ok = int64s(list(chain.from_iterable(segs)), 0, vocab)
+        lengths = np.fromiter(map(len, segs), np.int64, len(segs))
+        segments += toks, lengths
+        bad_tokens.append(np.diff(_offsets(~ok)[_offsets(lengths)]) > 0)
     none = np.array([t is None for t in tokens], bool)
-    (toks_b, offsets_b), lengths_b = segments[1], np.diff(segments[1][1])
+    toks_b, lengths_b = segments[2:]
     checks = [
         (tag_col < 0, "unknown bias_tag {tag!r}"),
         (~label_ok, "label {label!r} outside [0, {K})"),
         (bad_tokens[0], "tokens must be integers in [0, {V}), got {a}"),
         (bad_tokens[1], "tokens must be integers in [0, {V}), got {b}"),
-        (np.array([type(i) is not int for i in ids], bool) | repeated,
+        (np.array([type(i) is not int for i in ids], bool) | repeats(id_col, seen),
          "id must be an integer not seen before, got {id!r}"),
         (~id_ok, "id {id} outside the int64 range [-2**63, 2**63)"),
         ((tag_col == 0) != none, "bias_tag {tag!r} disagrees with bias_token {token!r}"),
         (~none & ~token_ok, "bias_token {token!r} outside [0, {V})"),
         # the rules inject_bias and the eval suite's biased splits follow
-        (~none & ((lengths_b == 0) | (np.append(toks_b, -1)[offsets_b[:-1]] != token_col)),
+        (~none & ((lengths_b == 0) | (np.append(toks_b, -1)[_offsets(lengths_b)[:-1]]
+                                      != token_col)),
          "bias_token {token} is not the first token of segment_b {b}"),
         (~none & ((token_col == label_col) != (tag_col == BIAS_TAGS.index("biased"))),
          "a {tag} example's bias_token must {must} its label {label}, got {token}"),
     ]
+    first_broken(path, lines, checks, lambda i: dict(
+        tag=tags[i], label=labels[i], a=seg_a[i], b=seg_b[i], id=ids[i], token=tokens[i],
+        K=K, V=vocab, must="equal" if tags[i] == "biased" else "differ from"))
+    seen.update(id_col.tolist())
+    return id_col, label_col, tag_col, np.where(none, -1, token_col), *segments
+
+
+def repeats(ids, seen) -> np.ndarray:
+    """Where the int64 column ids repeats an id before it or one in the set seen."""
+    repeated = np.ones(len(ids), bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    return repeated | np.fromiter(map(seen.__contains__, ids.tolist()), bool, len(ids))
+
+
+def first_broken(path, lines, checks, fields):
+    """DataError for the first of lines that breaks a rule, with the message
+    of the first rule it breaks. checks are (mask over the lines, message)
+    pairs in rule order; fields(i) formats line i's message."""
     failing = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks) if mask.any()]
     if failing:
         i, k = min(failing)
-        raise DataError(f"{path}:{lines[i]}: " + checks[k][1].format(
-            tag=tags[i], label=labels[i], a=seg_a[i], b=seg_b[i], id=ids[i],
-            token=tokens[i], K=K, V=vocab, must="equal" if tags[i] == "biased" else "differ from"))
-    if malformed:
-        raise malformed
-    columns = Columns(id_col, label_col, tag_col, np.where(none, -1, token_col), tuple(segments))
-    return Dataset(columns, K, vocab, header.get("provenance", {}))
+        raise DataError(f"{path}:{lines[i]}: " + checks[k][1].format(**fields(i)))
 
 
-def _int64s(values, lo: int, hi: int):
+def int64s(values, lo: int, hi: int):
     """(column, ok): values as an int64 array, and where they are integers
     in [lo, hi), a range within int64; the column reads 0 elsewhere."""
     if set(map(type, values)) <= {int}:  # the common case: range-check in numpy

@@ -41,8 +41,12 @@ class TrainConfig:
 
 
 def loss_percentiles(batch_losses):
-    """Nearest-rank percentiles (PERCENTILE_LEVELS) of the batch losses."""
-    return np.percentile(batch_losses, PERCENTILE_LEVELS, method="inverted_cdf").tolist()
+    """Nearest-rank percentiles (PERCENTILE_LEVELS) of the batch losses: for
+    level p of n losses the ceil(n * p / 100)-th smallest, the smallest at
+    p = 0, as np.percentile(..., method="inverted_cdf") picks them."""
+    ranked = np.sort(np.asarray(batch_losses, dtype=np.float64))
+    n = len(ranked)
+    return ranked[[max(-(-n * p // 100), 1) - 1 for p in PERCENTILE_LEVELS]].tolist()
 
 
 def train_main(train, weights, cfg: TrainConfig, eval_suite=None, teacher=None):

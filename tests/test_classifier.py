@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from debias_forge import classifier
+from debias_forge import classifier, synthgen
 from debias_forge.classifier import (
     Featurizer, Model, ModelParams, OptState, forward, grad_check, init_params,
     load_checkpoint, loss_and_grad, opt_step, save_checkpoint,
@@ -481,6 +481,39 @@ def test_predict_proba_refuses_data_of_another_label_count_or_vocabulary(
     assert featurized == []  # refused before the data is featurized
 
 
+@pytest.mark.parametrize("rows", [1, synthgen._BLOCK - 1, synthgen._BLOCK, synthgen._BLOCK + 1])
+@pytest.mark.parametrize("h", [1, 3])
+def test_checkpoint_bytes_are_json_dumps_of_the_whole_dict(tmp_path, rows, h):
+    """W1 is written in blocks of _BLOCK // h rows: at every block edge the
+    file is the json.dumps text of one dict, and reads back bit for bit."""
+    values = np.array([-0.0, 5e-324, 1e-05, 1e+16, 1 / 3])
+    k = 3
+    params = ModelParams(*(np.resize(values, shape) for shape in [(rows, h), (h,), (h, k), (k,)]))
+    model = Model(params, Featurizer(vocab_size=0, dim=rows), k, meta={"method": "poe"})
+    path = tmp_path / "m.ckpt.json"
+    save_checkpoint(model, path, step=9, config_digest="abc")
+    meta = {"D": rows, "H": h, "K": k, "step": 9, "config_digest": "abc", "vocab_size": 0,
+            "method": "poe"}
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        {"meta": meta, **{name: a.tolist() for name, a in params.arrays().items()}})
+    assert load_checkpoint(path).params.flat.tobytes() == params.flat.tobytes()
+
+
+def test_checkpoint_lists_fill_the_params_buffer_in_place():
+    """Reading a checkpoint's lists allocates the one parameter buffer and
+    no W1-sized array besides it."""
+    params = init_params(2048, 64, 3, np.random.default_rng(0))
+    lists = [a.tolist() for a in params.arrays().values()]
+    tracemalloc.start()
+    try:
+        loaded = classifier._params_of_lists(lists, 2048, 64, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+    assert peak < 1.5 * params.flat.nbytes
+
+
 def test_checkpoint_corrupt_and_mismatched(rng, tmp_path):
     feat = Featurizer(vocab_size=V, dim=D)
     model = Model(params=init_params(D, H, K, rng), featurizer=feat, num_labels=K)
@@ -504,4 +537,11 @@ def test_checkpoint_corrupt_and_mismatched(rng, tmp_path):
     bad = tmp_path / "k.ckpt.json"
     bad.write_text(json.dumps(obj))
     with pytest.raises(SchemaError):
+        load_checkpoint(bad)
+
+    # json reads an integer of any size: one past a double is a schema error
+    obj = json.loads(path.read_text())
+    obj["W1"][0][0] = 10**400
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError, match="int too large to convert to float"):
         load_checkpoint(bad)

@@ -292,6 +292,9 @@ def test_config_values_past_the_caps_exit_2_before_allocating(conf, tmp_path):
     train = str(tmp_path / "train.jsonl")
     for argv in (["train", "--data", train, "--set", "train.hidden=1000000000000"],
                  ["shallow", "--data", train, "--set", "shallow.hidden=1000000000000"],
+                 # under the first-layer cap, but scoring would build an (n, hidden) array
+                 ["train", "--data", train, "--set", "train.hidden=1025"],
+                 ["shallow", "--data", train, "--set", "shallow.hidden=1025"],
                  ["generate", "--set", "data.tokens_per_segment=100000000"]):
         out = tmp_path / argv[0]
         assert _run(*argv, "--config", conf, "--out-dir", str(out), "--quiet") == 2
@@ -911,6 +914,31 @@ def test_jobs_below_one_exits_2(tmp_path, jobs):
     assert _run("report", "--kind", "proportion", "--jobs", jobs,
                 "--out-dir", str(out), "--quiet") == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,sets", [
+    ("proportion", ["report.m_values=0.6,1.5"]),
+    ("sweep", ["report.method=poe", "report.a_values=1.0,1.5"]),
+])
+def test_study_value_out_of_range_exits_2_before_a_pool_starts(
+        conf, tmp_path, monkeypatch, kind, sets):
+    pools = []
+
+    class CountingPool(evaluation.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so that --jobs 2 asks for two processes
+    out = tmp_path / "out"
+    argv = ["report", "--kind", kind, "--config", conf, "--jobs", "2",
+            "--out-dir", str(out), "--quiet"]
+    for s in sets:
+        argv += ["--set", s]
+    assert _run(*argv) == 2
+    assert not out.exists()
+    assert pools == []
 
 
 def test_worker_count_is_at_most_one_per_cpu(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from debias_forge import shallow
-from debias_forge.classifier import MAX_W1_WEIGHTS, Featurizer, Model, ModelParams
+from debias_forge.classifier import MAX_HIDDEN, MAX_W1_WEIGHTS, Featurizer, Model, ModelParams
 from debias_forge.errors import ConfigError, DataError
 from debias_forge.evaluation import stability_study
 from debias_forge.shallow import (
@@ -41,13 +41,15 @@ def test_config_validation(tiny_train):
                        ({"batch_size": 0}, "batch_size"), ({"hidden": 0}, "hidden"),
                        ({"learning_rate": 0.0}, "learning_rate"), ({"adam_beta2": 1.5}, "beta2"),
                        ({"adam_beta2": 1.0}, "beta2"), ({"optimizer": "bogus"}, "optimizer"),
-                       ({"hidden": MAX_W1_WEIGHTS // FAST.feature_dim + 1}, "MAX_W1_WEIGHTS")]:
+                       ({"hidden": MAX_W1_WEIGHTS // FAST.feature_dim + 1}, "MAX_W1_WEIGHTS"),
+                       ({"hidden": MAX_HIDDEN + 1}, "MAX_HIDDEN")]:
         with pytest.raises(ConfigError, match=match):
             ShallowConfig(**{**vars(FAST), **bad})
         with pytest.raises(ConfigError, match=match):
             replace(FAST, **bad)
     # the cap is inclusive; building a config allocates nothing
     replace(FAST, feature_dim=MAX_W1_WEIGHTS // 64, hidden=64)
+    replace(FAST, hidden=MAX_HIDDEN)
     # the one rule that needs the data, checked before a run starts
     whole = replace(FAST, sample_size=len(tiny_train))
     for start in (ShallowRun.start, train_shallow):

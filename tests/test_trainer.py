@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from conftest import nearest_rank_percentiles
 
-from debias_forge.classifier import MAX_W1_WEIGHTS, Featurizer
+from debias_forge.classifier import MAX_HIDDEN, MAX_W1_WEIGHTS, Featurizer
 from debias_forge.errors import ConfigError, DataError, SchemaError
 from debias_forge.objectives import AnnealSchedule
 from debias_forge.shallow import BiasWeights, ShallowConfig, compute_bias_weights, train_shallow
 from debias_forge.trainer import (
-    TrainConfig, loss_percentiles, read_metrics, train_main, train_teacher,
+    PERCENTILE_LEVELS, TrainConfig, loss_percentiles, read_metrics, train_main, train_teacher,
     write_metrics,
 )
 
@@ -33,13 +33,14 @@ def test_config_validation():
                        ({"learning_rate": -1e-3}, "learning_rate"), ({"adam_beta2": 1.0}, "beta2"),
                        ({"adam_beta2": -0.1}, "beta2"), ({"optimizer": "bogus"}, "optimizer"),
                        ({"feature_dim": MAX_W1_WEIGHTS // FAST_TRAIN.hidden + 1},
-                        "MAX_W1_WEIGHTS")]:
+                        "MAX_W1_WEIGHTS"), ({"hidden": MAX_HIDDEN + 1}, "MAX_HIDDEN")]:
         with pytest.raises(ConfigError, match=match):
             TrainConfig(**{**vars(FAST_TRAIN), **bad})
         with pytest.raises(ConfigError, match=match):
             replace(FAST_TRAIN, **bad)
     replace(FAST_TRAIN, adam_beta2=0.0)
     replace(FAST_TRAIN, feature_dim=MAX_W1_WEIGHTS // FAST_TRAIN.hidden)
+    replace(FAST_TRAIN, hidden=MAX_HIDDEN)
 
 
 def test_loss_percentiles_oracle(rng):
@@ -50,6 +51,11 @@ def test_loss_percentiles_oracle(rng):
             assert tuple(loss_percentiles(values)) == nearest_rank_percentiles(values)
     values = rng.random(100)
     assert abs(loss_percentiles(values)[2] - np.median(values)) < 0.1
+    # bit for bit numpy's inverted_cdf percentiles, which it replaces
+    for n in range(1, 301):
+        for values in (rng.random(n), rng.integers(0, 4, n) * 0.5, -np.zeros(n)):
+            want = np.percentile(values, PERCENTILE_LEVELS, method="inverted_cdf")
+            assert np.array(loss_percentiles(values)).tobytes() == want.tobytes()
 
 
 def test_train_deterministic_and_metrics_invariants(tiny_train, tiny_suite):
