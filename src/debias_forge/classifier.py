@@ -192,7 +192,8 @@ def _logits(params: ModelParams, X, check_hidden=False):
     h = np.zeros((n, params.W1.shape[1]))
     _sparsetools.csr_matvecs(n, D, h.shape[1], indptr, indices, data, params.W1.ravel(), h.ravel())
     h += params.b1
-    if check_hidden and not np.all(np.isfinite(h)):
+    # min and max carry any NaN or inf, without an (n, H) mask; a 0-row h has neither
+    if check_hidden and h.size and not (np.isfinite(h.min()) and np.isfinite(h.max())):
         raise NumericError("non-finite activations in hidden layer")
     np.maximum(h, 0.0, out=h)
     return h, h @ params.W2 + params.b2

@@ -28,7 +28,7 @@ from typing import Literal, Union, get_args, get_origin
 import numpy as np
 
 from . import __version__
-from .classifier import check_model_data, load_checkpoint, save_checkpoint
+from .classifier import load_checkpoint, save_checkpoint
 from .errors import (
     ConfigError, DataError, DegenerateShallowError, NumericError, SchemaError, config_digest,
     open_text,
@@ -42,7 +42,9 @@ from .shallow import (
     load_bias_weights, save_bias_weights, train_shallow, validate_shallow,
 )
 from .synthgen import SynthConfig, gen_dataset, inject_bias, load_dataset, make_eval_suite, save_dataset
-from .trainer import TrainConfig, read_metrics, train_main, train_teacher, write_metrics
+from .trainer import (
+    TrainConfig, check_eval_suite, read_metrics, train_main, train_teacher, write_metrics,
+)
 
 logger = logging.getLogger("debias_forge")
 
@@ -335,11 +337,8 @@ def cmd_train(args, run) -> int:
                         len(train) - len(kept))
             train = replace(train, examples=train.examples.take(kept))
 
-    eval_suite = None
-    if args.eval_dir:
-        eval_suite = load_suite(run, args.eval_dir, required=False)
-        for ds in eval_suite.values():  # before a teacher is trained on train
-            check_model_data(ds, train.num_labels, train.vocab_size)
+    eval_suite = load_suite(run, args.eval_dir, required=False) if args.eval_dir else None
+    check_eval_suite(eval_suite, train)  # before a teacher is trained on train
 
     teacher = None
     if t_cfg.method == "conf_reg":

@@ -1,5 +1,6 @@
 """Evaluation and analysis: split accuracy, confidence histograms, and the
-bias-proportion, annealing and stability studies, whose rows match for any `jobs`.
+bias-proportion, debiasing (the anneal sweep is one call of it) and stability
+studies, whose rows match for any `jobs`.
 """
 
 import math
@@ -71,9 +72,9 @@ def confidence_histogram(model, split, bin_width: float = 0.05) -> ConfidenceHis
 def _pieces_per_seed(n_seeds, n_values, jobs) -> int:
     """How many pieces to cut each seed's values into for `jobs` processes.
 
-    Each piece rebuilds its seed's data, suite and (for the sweep) identify
-    stage, so there is one piece per seed while the seeds alone keep every
-    process busy, and just enough pieces to do so otherwise.
+    Each piece rebuilds its seed's data, suite and (for a debiasing study)
+    identify stage, so there is one piece per seed while the seeds alone
+    keep every process busy, and just enough pieces to do so otherwise.
     """
     return max(1, min(n_values, math.ceil(jobs / max(n_seeds, 1))))
 
@@ -153,44 +154,51 @@ def identify_stage(train, shallow_cfg: ShallowConfig, seed: int):
     return compute_bias_weights(shallow_model, main_train), main_train
 
 
-def sweep_seed(schedules, method: str, synth_cfg: SynthConfig, train_cfg: TrainConfig,
-               shallow_cfg: ShallowConfig, seed: int):
-    """Debiased accuracy on the original and anti-biased splits under each
-    AnnealSchedule, for one seed.
+def debias_seed(runs, synth_cfg: SynthConfig, shallow_cfg: ShallowConfig, seed: int):
+    """Accuracy on the original and anti-biased splits of each TrainConfig of
+    `runs`, trained at seed `seed` on the main-training set.
 
-    Data, eval suite, identify stage and conf_reg teacher depend only on the
-    seed (train_teacher drops the anneal schedule), so they are built once;
-    only the main training runs per schedule.
+    Data, eval suite and identify stage depend only on the seed, so they are
+    built once. train_teacher drops a run's anneal schedule, so conf_reg runs
+    that differ only in it share one teacher.
     """
-    run_cfg = replace(train_cfg, method=method, seed=seed)  # before any data is generated
+    runs = [replace(run, seed=seed) for run in runs]  # before any data is generated
     cfg = replace(synth_cfg, seed=seed)
     train = inject_bias(gen_dataset(cfg), m=cfg.bias_proportion,
                         rho=cfg.manipulated_fraction, seed=seed)
     suite = make_eval_suite(cfg)
     weights, main_train = identify_stage(train, shallow_cfg, seed)
-    teacher = train_teacher(main_train, run_cfg) if method == "conf_reg" else None
-    # as in proportion_seed: train every model, then score them all
-    models = [train_main(main_train, weights, replace(run_cfg, anneal=sched), teacher=teacher)[0]
-              for sched in schedules]
+    teachers, models = {}, []
+    for run in runs:  # as in proportion_seed: train every model, then score them all
+        key = replace(run, anneal=AnnealSchedule())  # what train_teacher keeps of a conf_reg run
+        if run.method == "conf_reg" and key not in teachers:
+            teachers[key] = train_teacher(main_train, run)
+        models.append(train_main(main_train, weights, run, teacher=teachers.get(key))[0])
     return [{split: accuracy(model, suite[split]) for split in ("original", "anti_biased")}
             for model in models]
 
 
+def debias_study(runs, synth_cfg: SynthConfig, shallow_cfg: ShallowConfig, seeds,
+                 jobs: int = 1) -> list:
+    """debias_seed per seed on up to `jobs` processes; per run, the mean and
+    spread over seeds of the accuracy on the original and anti-biased splits."""
+    per_seed = _fan_out_seeds(debias_seed, runs, (synth_cfg, shallow_cfg), seeds, jobs)
+    return _seed_summary(per_seed, ("original", "anti_biased"))
+
+
 def sweep_study(a_values, method: str, synth_cfg: SynthConfig, train_cfg: TrainConfig,
                 shallow_cfg: ShallowConfig, seeds, jobs: int = 1) -> list:
-    """The anneal sweep over the annealing floor a on up to `jobs` processes;
-    per a, the mean and spread over seeds of the debiased accuracy on the
-    original and anti-biased splits."""
+    """The anneal sweep over the annealing floor a: one debias_study run of
+    `method` per a; per a, the mean and spread over seeds of the debiased
+    accuracy on the original and anti-biased splits."""
     # baseline_ce, an unknown method or a floor outside [0, 1] is refused
     # before the fan-out starts a pool
     if method == "baseline_ce":
         raise ConfigError("anneal sweep requires a debiasing method")
-    train_cfg = replace(train_cfg, method=method)
-    schedules = [AnnealSchedule(a=a, enabled=True) for a in a_values]
-    per_seed = _fan_out_seeds(sweep_seed, schedules, (method, synth_cfg, train_cfg, shallow_cfg),
-                              seeds, jobs)
-    summary = _seed_summary(per_seed, ("original", "anti_biased"))
-    return [{"value": a, **row, "seeds": len(seeds)} for a, row in zip(a_values, summary)]
+    runs = [replace(train_cfg, method=method, anneal=AnnealSchedule(a=a, enabled=True))
+            for a in a_values]
+    rows = debias_study(runs, synth_cfg, shallow_cfg, seeds, jobs)
+    return [{"value": a, **row, "seeds": len(seeds)} for a, row in zip(a_values, rows)]
 
 
 def stability_seed(runs, train, cfg: ShallowConfig, eval_ds, seed: int):

@@ -49,19 +49,26 @@ def loss_percentiles(batch_losses):
     return ranked[[max(-(-n * p // 100), 1) - 1 for p in PERCENTILE_LEVELS]].tolist()
 
 
+def check_eval_suite(eval_suite, train):
+    """DataError on an empty eval split, SchemaError on one a model of train cannot score."""
+    for split, ds in (eval_suite or {}).items():
+        if not len(ds):
+            raise DataError(f"empty eval split {split!r}: no examples to score")
+        check_model_data(ds, train.num_labels, train.vocab_size)
+
+
 def train_main(train, weights, cfg: TrainConfig, eval_suite=None, teacher=None):
     """Run one training; returns (Model, metrics list of dicts).
 
     train: Dataset (the main-training set), not empty. weights: BiasWeights
     or None (required for every method except baseline_ce). eval_suite:
-    optional dict of split -> Dataset evaluated every cfg.eval_every steps.
-    teacher: frozen Model, required when method == "conf_reg".
+    optional dict of split -> Dataset (none empty), each evaluated every
+    cfg.eval_every steps. teacher: frozen Model, required for conf_reg.
     """
     if not len(train):
         raise DataError("empty training set: no examples to train on")
     K = train.num_labels
-    for ds in (eval_suite or {}).values():  # refused before training, not at the first eval
-        check_model_data(ds, K, train.vocab_size)
+    check_eval_suite(eval_suite, train)  # refused before training, not at the first eval
     featurizer = Featurizer(vocab_size=train.vocab_size, dim=cfg.feature_dim)
     X = train.matrix(featurizer)
     y = train.labels()

@@ -22,7 +22,7 @@ from debias_forge.classifier import (
 )
 from debias_forge.cli import main as cli_main
 from debias_forge.evaluation import (
-    accuracy, bias_proportion_study, identify_stage, stability_study, sweep_study,
+    bias_proportion_study, debias_study, identify_stage, stability_study,
 )
 from debias_forge.objectives import (
     AnnealSchedule, anneal_alpha, anneal_probs, loss_confreg, loss_poe,
@@ -35,7 +35,7 @@ from debias_forge.shallow import (
 from debias_forge.synthgen import (
     SynthConfig, gen_dataset, inject_bias, make_eval_suite,
 )
-from debias_forge.trainer import TrainConfig, train_main, train_teacher
+from debias_forge.trainer import TrainConfig, train_main
 
 
 # Shallow settings used as the bias detector in the training-time checks:
@@ -60,16 +60,6 @@ def _biased_set(rho, m, seed):
                   seed=seed)
     train = inject_bias(gen_dataset(cfg), m=m, rho=rho, seed=seed)
     return train, make_eval_suite(cfg)
-
-
-def _debias(identified, method, cfg):
-    """Debiased training on an identify_stage result, with a conf_reg
-    teacher trained on the same set, so that a check identifies once per
-    seed and trains every method on it."""
-    weights, main_train = identified
-    cfg = replace(cfg, method=method)
-    teacher = train_teacher(main_train, cfg) if method == "conf_reg" else None
-    return train_main(main_train, weights, cfg, teacher=teacher)
 
 
 @pytest.fixture(scope="module")
@@ -230,31 +220,24 @@ def test_c07_shallow_grid_selection(full_train):
 
 # -- 8: every debiasing method recovers the misaligned split ------------------
 
-def test_c08_methods_beat_baseline(full_train):
+def test_c08_methods_beat_baseline():
     seeds = (1, 2, 3, 4, 5)
     methods = ("reweight", "poe", "conf_reg")
-    base_anti, base_orig = [], []
-    anti = {m: [] for m in methods}
-    orig = {m: [] for m in methods}
-    for seed in seeds:
-        train, suite = _biased_set(rho=0.5, m=0.9, seed=seed)
-        model, _ = train_main(train, None, TrainConfig(epochs=4, seed=seed))
-        base_anti.append(accuracy(model, suite["anti_biased"]))
-        base_orig.append(accuracy(model, suite["original"]))
-        identified = identify_stage(train, DETECTOR, seed)
-        for method in methods:
-            m_model, _ = _debias(identified, method, TrainConfig(epochs=5, seed=seed))
-            anti[method].append(accuracy(m_model, suite["anti_biased"]))
-            orig[method].append(accuracy(m_model, suite["original"]))
-    b_anti = float(np.mean(base_anti))
-    b_orig = float(np.mean(base_orig))
+    data = replace(SynthConfig(), manipulated_fraction=0.5)
+    jobs = min(2, os.cpu_count() or 1)
+    # the baseline trains on the whole biased set, each method on the
+    # identify stage's main-training set
+    (base,) = bias_proportion_study([0.9], data, TrainConfig(epochs=4), seeds, jobs)
+    rows = debias_study([TrainConfig(method=m, epochs=5) for m in methods], data, DETECTOR,
+                        seeds, jobs)
+    b_anti, b_orig = base["anti_biased_mean"], base["original_mean"]
     ok = True
     parts = [f"baseline anti {b_anti:.3f}"]
     # margins below are desk-scale substitutes calibrated on pilot runs;
     # the binding claims are the orderings
-    for method in methods:
-        gain = float(np.mean(anti[method])) - b_anti
-        drop = b_orig - float(np.mean(orig[method]))
+    for method, row in zip(methods, rows):
+        gain = row["anti_biased_mean"] - b_anti
+        drop = b_orig - row["original_mean"]
         limit = 0.02 if method == "conf_reg" else 0.05
         ok = ok and gain >= 0.10 and drop <= limit
         parts.append(f"{method} gain {gain:+.3f} drop {drop:+.3f}")
@@ -266,19 +249,15 @@ def test_c08_methods_beat_baseline(full_train):
 
 def test_c09_anneal_interpolation():
     a_values = (1.0, 0.8, 0.6, 0.4, 0.2, 0.0)
-    seeds = (1, 2, 3)
-    # poe per (a, seed) on the data and identify stage that the baseline loop builds
-    rows = sweep_study(a_values, "poe", replace(SynthConfig(), manipulated_fraction=0.5),
-                       TrainConfig(epochs=2), DETECTOR, seeds, jobs=min(2, os.cpu_count() or 1))
+    # poe at each a, then the baseline, on one identify stage per seed
+    runs = [TrainConfig(method="poe", epochs=2, anneal=AnnealSchedule(a=a, enabled=True))
+            for a in a_values]
+    *rows, base = debias_study(runs + [TrainConfig(epochs=2)],
+                               replace(SynthConfig(), manipulated_fraction=0.5), DETECTOR,
+                               (1, 2, 3), jobs=min(2, os.cpu_count() or 1))
     means = [r["anti_biased_mean"] for r in rows]
-    base = []
-    for seed in seeds:
-        train, suite = _biased_set(rho=0.5, m=0.9, seed=seed)
-        identified = identify_stage(train, DETECTOR, seed)
-        model, _ = _debias(identified, "baseline_ce", TrainConfig(epochs=2, seed=seed))
-        base.append(accuracy(model, suite["anti_biased"]))
     rho, _ = spearmanr(a_values, means)
-    gap = abs(means[-1] - float(np.mean(base)))
+    gap = abs(means[-1] - base["anti_biased_mean"])
     announce(9, "anti-biased accuracy tracks the annealing floor",
              rho >= 0.7 and gap <= 0.05,
              f"spearman {rho:.2f}, a=0 vs baseline gap {gap:.3f}, "
@@ -292,10 +271,11 @@ def test_c10_loss_spread_compression():
     details = []
     for seed in (1, 2):
         train, _ = _biased_set(rho=0.3, m=0.9, seed=seed)
-        identified = identify_stage(train, DETECTOR, seed)
+        weights, main_train = identify_stage(train, DETECTOR, seed)
         spreads = {}
         for method in ("baseline_ce", "reweight"):
-            _, log = _debias(identified, method, TrainConfig(epochs=4, seed=seed))
+            cfg = TrainConfig(method=method, epochs=4, seed=seed)
+            _, log = train_main(main_train, weights, cfg)
             spreads[method] = float(np.mean([r["p50"] - r["p25"] for r in log]))
         ok = ok and spreads["baseline_ce"] >= spreads["reweight"]
         details.append(f"seed {seed}: base {spreads['baseline_ce']:.3f} vs "

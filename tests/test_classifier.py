@@ -177,6 +177,16 @@ def test_forward_refuses_a_pre_activation_the_relu_would_hide(rng):
     assert np.isfinite(loss_and_grad(params, X, np.eye(K)[[0] * 6], np.ones(6))[0]).all()
     with pytest.raises(NumericError, match="non-finite activations in hidden layer"):
         forward(params, X)
+    # so is NaN or an inf of either sign in the first or the last unit, put
+    # there by the weight of one of the last row's features
+    for value in (np.nan, np.inf, -np.inf):
+        for unit in (0, H - 1):
+            params, X, *_ = _random_setup(rng)
+            params.W1[X[5].indices[0], unit] = value
+            with pytest.raises(NumericError, match="non-finite activations in hidden layer"):
+                forward(params, X)
+            # a 0-row batch has no activation to check
+            assert forward(params, X[:0]).shape == (0, K)
 
 
 def test_loss_matches_hand_computed_cross_entropy(rng):

@@ -471,6 +471,21 @@ def test_train_eval_dir_of_other_label_count_exits_3(pipeline, tmp_path, featuri
     assert _written(out, "model-*", "run-*", "teacher-*") == []
 
 
+def test_train_eval_dir_with_an_empty_split_exits_3(pipeline, tmp_path, featurized):
+    # a header-only split would put NaN accuracies into the metrics file
+    eval_dir, out = tmp_path / "empty_original", tmp_path / "train"
+    eval_dir.mkdir()
+    header = (pipeline["out"] / "eval_original.jsonl").read_text().splitlines()[0]
+    (eval_dir / "eval_original.jsonl").write_text(header + "\n")
+    assert _run("train", "--config", pipeline["conf"], "--set", "train.method=conf_reg",
+                "--data", str(pipeline["out"] / "train.jsonl"), "--eval-dir", str(eval_dir),
+                "--weights", str(pipeline["weights"]),
+                "--out-dir", str(out), "--seed", "5", "--quiet") == 3
+    # refused before the training set is featurized or a teacher is trained
+    assert featurized == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["compare", "histogram", "stability"])
 def test_report_on_data_of_other_label_count_exits_3(pipeline, tmp_path, kind):
     out, k5, rep = pipeline["out"], _k5_suite(pipeline, tmp_path), tmp_path / "rep"

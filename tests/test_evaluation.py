@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from debias_forge import evaluation
 from debias_forge.errors import ConfigError, DataError
 from debias_forge.evaluation import (
-    MAX_BINS, accuracy, bias_proportion_study, confidence_histogram,
+    MAX_BINS, accuracy, bias_proportion_study, confidence_histogram, debias_study,
     identify_stage, proportion_seed, sweep_study,
 )
 from debias_forge.objectives import AnnealSchedule
@@ -217,6 +218,40 @@ def test_anneal_sweep_equals_naive_loop(tiny_cfg):
         row["anti_biased_mean"], row["anti_biased_std"] = _mean_std(anti)
         expected.append(row)
     assert sweep_study(a_values, "conf_reg", tiny_cfg, TINY_TRAIN, TINY_SHALLOW, SEEDS) == expected
+
+
+def test_debias_study_equals_naive_loop(tiny_cfg, monkeypatch):
+    conf_reg = replace(TINY_TRAIN, method="conf_reg")
+    runs = [TINY_TRAIN, replace(TINY_TRAIN, method="reweight"), conf_reg,
+            replace(conf_reg, anneal=AnnealSchedule(a=0.0, enabled=True)),
+            replace(conf_reg, epochs=2)]
+    accs = []  # accs[s][r]: (original, anti_biased) of run r at seed s
+    for seed in SEEDS:
+        cfg = replace(tiny_cfg, seed=seed)
+        train = inject_bias(gen_dataset(cfg), m=cfg.bias_proportion,
+                            rho=cfg.manipulated_fraction, seed=seed)
+        suite = make_eval_suite(cfg)
+        weights, main_train = identify_stage(train, TINY_SHALLOW, seed)
+        accs.append([])
+        for run in runs:
+            run = replace(run, seed=seed)
+            teacher = train_teacher(main_train, run) if run.method == "conf_reg" else None
+            model, _ = train_main(main_train, weights, run, teacher=teacher)
+            accs[-1].append([accuracy(model, suite[s]) for s in ("original", "anti_biased")])
+    expected = []
+    for r in range(len(runs)):
+        row = {}
+        for i, split in enumerate(("original", "anti_biased")):
+            row[f"{split}_mean"], row[f"{split}_std"] = _mean_std([a[r][i] for a in accs])
+        expected.append(row)
+    assert debias_study(runs, tiny_cfg, TINY_SHALLOW, SEEDS, jobs=2) == expected
+    # the two conf_reg runs that differ only in anneal share a teacher
+    teachers = []
+    train_teacher_ = evaluation.train_teacher
+    monkeypatch.setattr(evaluation, "train_teacher",
+                        lambda train, cfg: teachers.append(cfg.seed) or train_teacher_(train, cfg))
+    assert debias_study(runs, tiny_cfg, TINY_SHALLOW, SEEDS) == expected
+    assert teachers == [1, 1, 2, 2]
 
 
 def test_anneal_sweep_rejects_baseline_and_empty_seeds(tiny_cfg):

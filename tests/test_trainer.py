@@ -107,6 +107,14 @@ def test_empty_training_set_refused_before_featurizing(tiny_train, tiny_weights,
     assert featurized == []
 
 
+def test_empty_eval_split_refused_before_featurizing(tiny_train, tiny_suite, featurized):
+    # its accuracy would be the mean of no predictions: NaN in the metrics
+    suite = {**tiny_suite, "biased": replace(tiny_suite["biased"], examples=[])}
+    with pytest.raises(DataError, match="empty eval split 'biased'"):
+        train_main(tiny_train, None, FAST_TRAIN, eval_suite=suite)
+    assert featurized == []
+
+
 def test_debias_methods_require_weights(tiny_train):
     for method in ("reweight", "poe", "conf_reg"):
         with pytest.raises(ConfigError):
